@@ -24,7 +24,7 @@
 //!          SIMD-dispatched vs forced-scalar tier pair), encoding,
 //!          per-prefetcher per-access cost, the replay engine's
 //!          dispatched vs pinned-scalar pair, the serve daemon's
-//!          sharded stream throughput (singleton and `access_batch`
+//!          stream throughput (singleton and `access_batch`
 //!          frame cells), one end-to-end report cell.
 //!          Writes BENCH_pr10.json (override with --bench-out). With
 //!          --baseline <json> the run becomes a gate: exits nonzero when
@@ -33,7 +33,8 @@
 //!          serve.* suites are skipped when the baseline was recorded on
 //!          a different kernel tier (the document's kernel_tier field).
 //!   serve  prefetch-as-a-service daemon: listens on --socket (default
-//!          /tmp/pathfinder-serve.sock) with --shards workers, serving
+//!          /tmp/pathfinder-serve.sock) with --shards lock stripes
+//!          (streams map to stripe id % N), serving
 //!          access/predict/train/status/configure/drain verbs until a
 //!          full drain shuts it down.
 //!   serve-smoke
@@ -42,7 +43,7 @@
 //!          unless every stream's drained schedule/report/stats are
 //!          bit-identical to a batch run; --batch sends the streamed
 //!          half as 16-record access_batch frames over each client's
-//!          sticky connection instead of singleton accesses;
+//!          connection instead of singleton accesses;
 //!          --no-shutdown leaves the daemon running afterwards.
 //! ```
 //!

@@ -12,7 +12,7 @@
 //! (`sim.replay.{demand,prefetch,e2e}` plus `sim.replay.e2e.reference`),
 //! the replay engine's dispatched vs forced-scalar tier pair
 //! (`sim.replay.e2e.simd` / `sim.replay.e2e.scalar`), the serve daemon's
-//! sharded stream-serving throughput at widening concurrency
+//! stream-serving throughput at widening concurrency
 //! (`serve.throughput.{1,64,1024}streams`, sustained aggregate
 //! accesses/sec through the in-process engine), and one end-to-end
 //! report cell), then emits the results as `BENCH_pr8.json`: suite →
@@ -112,7 +112,7 @@ pub struct BenchReport {
     /// hosts whose dispatched tier *is* scalar — check `kernel_tier`.
     pub snn_simd_speedup: f64,
     /// Median-speedup of the batched serving hot path
-    /// (`serve.throughput.batch16`: `access_batch` frames, sticky
+    /// (`serve.throughput.batch16`: `access_batch` frames on one
     /// requester, duty-cycled serving template) over the single-access
     /// serve path (`serve.throughput.1streams`), per access.
     pub serve_batch_speedup: f64,
@@ -489,16 +489,17 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
     suites.push(sim_simd_suite);
     suites.push(sim_scalar_suite);
 
-    // --- Serve daemon throughput: sharded serving of concurrent streams. --
+    // --- Serve daemon throughput: concurrent streams over lock stripes. ---
     // The same trace is partitioned round-robin over N live streams and
-    // pushed through an in-process ServeEngine (4 shards) by 4 client
+    // pushed through an in-process ServeEngine (4 stripes) by 4 client
     // threads, client c owning the streams with s % 4 == c so per-stream
     // order is preserved. ops = total accesses, so ops/s is the sustained
     // aggregate access rate — the ROADMAP's serving success metric. Each
     // call builds a fresh engine (stream setup is part of serving cost)
     // and drops it without a drain (ingestion throughput, not replay).
     // The widening stream counts move the bottleneck: 1 stream serializes
-    // behind one shard, 64 exercises shard parallelism with warm learners,
+    // behind one stripe lock, 64 exercises stripe parallelism (each client
+    // thread serves its own requests inline) with warm learners,
     // 1024 (clamped to the trace length at tiny scales) is dominated by
     // cold-stream setup and cross-stream cache pressure.
     const SERVE_CLIENTS: usize = 4;
@@ -537,16 +538,16 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         }));
     }
 
-    // --- Batched serving hot path: `access_batch` frames on a sticky
+    // --- Batched serving hot path: `access_batch` frames on one
     // requester. The single-access cells above keep the default always-on
     // template for baseline continuity; the batch cells run the
     // configuration the service is built for — STDP duty-cycled (paper §5,
     // first 250 of every 5000 accesses) with the frozen-query cache on —
     // where per-access inference is cheap enough that framing and
     // round-trip overhead dominate, which is exactly what batching
-    // amortizes. One stream, one requester thread: the single-shard frame
-    // takes the sticky direct path, and each frame's records run
-    // back-to-back as one grouped inference run on the shard thread. The
+    // amortizes. One stream, one requester thread: each frame's records
+    // run back-to-back as one grouped inference run on the calling thread,
+    // under the stream's stripe lock. The
     // derived `serve_batch_vs_single_speedup` compares the PR-8-style
     // single-access path against this full batched serving stack.
     let serving_template = || {

@@ -28,7 +28,7 @@ use crate::table::TextTable;
 pub struct ServeOpts {
     /// Unix-socket path to listen on.
     pub socket: String,
-    /// Shard worker count.
+    /// Lock stripes streams are spread over (stream `id % shards`).
     pub shards: usize,
 }
 
@@ -47,7 +47,7 @@ pub struct SmokeOpts {
     /// (`drain` with no stream), shutting it down.
     pub shutdown: bool,
     /// When true, each client drives part of its trace as `access_batch`
-    /// frames over its long-lived (sticky) connection instead of pure
+    /// frames over its long-lived connection instead of pure
     /// singleton `access` calls, exercising the batched hot path.
     pub batch: bool,
 }
@@ -60,7 +60,7 @@ pub struct SmokeOpts {
 pub fn serve(opts: &ServeOpts) -> Result<(), String> {
     let engine = Arc::new(ServeEngine::new(opts.shards));
     eprintln!(
-        "# serve: listening on {} with {} shard(s); send `drain` with no stream to stop",
+        "# serve: listening on {} with {} lock stripe(s); send `drain` with no stream to stop",
         opts.socket,
         engine.shards()
     );

@@ -1,139 +1,51 @@
-//! The sharded serving engine: stream-affine worker pool + request routing.
+//! The serving engine: each request runs to completion on the caller's
+//! thread, under per-stream lock stripes.
 //!
-//! Streams are sharded by `stream_id % shards` onto persistent worker
-//! threads, each owning its streams outright (no locks on the hot path) and
-//! processing its inbox serially — which is exactly what preserves per-stream
-//! access order, and with it the bit-identical-to-batch guarantee from
-//! [`crate::stream`]. This generalizes the harness's atomic-cursor worker
-//! pool from "grid cells pulled off a shared cursor" to "live streams pinned
-//! to a shard": grid cells are finished work items, streams are long-lived
-//! state, so affinity replaces work stealing.
+//! There is no worker pool. Whoever calls [`ServeEngine::request`] — a
+//! socket connection thread or an in-process caller — serves the request
+//! itself, start to finish. Streams live in `shards` lock stripes, stream
+//! `s` in stripe `s % shards`; each stripe is one `Mutex` over its streams'
+//! sessions, running totals and telemetry. A stream's accesses are served
+//! under its stripe's lock, so they apply in arrival order — which is what
+//! keeps the bit-identical-to-batch guarantee from [`crate::stream`] — while
+//! streams on different stripes serve in parallel.
 //!
-//! # The batched hot path
+//! An `access` is served as a one-record `access_batch`. A frame's records
+//! are grouped by stream, each group keeping its records' arrival order,
+//! and each group runs as one [`StreamSession::access_run`] under its
+//! stripe's lock, so a stream's duty-cycled frozen queries within a frame
+//! share one `present_frozen_batch` call. No reply depends on another
+//! stream's state, so serving the groups one after another is
+//! indistinguishable from serving the records in frame order. No request
+//! holds two stripe locks at once.
 //!
-//! Three layers amortize the per-access round trip:
+//! Drains take sessions out under the lock and run the timed replay after
+//! releasing it. A full drain raises the `draining` flag before it walks
+//! the stripes, and every per-stream request checks that flag under its
+//! stripe's lock: a request either lands before its stream is taken, and
+//! so is in the drained result, or is answered `"daemon is draining"`.
 //!
-//! * **Burst-drained inboxes** — a worker blocks on its first message, then
-//!   `try_recv`s the rest of the pending queue and processes the whole burst
-//!   before replying. Within a contiguous run of access-shaped messages,
-//!   records are grouped by stream (each stream's arrival order untouched)
-//!   so one stream's duty-cycled frozen queries run back-to-back with warm
-//!   weights and shared scratch. Reordering *across* streams inside such a
-//!   run is unobservable — no reply depends on another stream's state — so
-//!   the bit-identical-to-batch parity survives grouping.
-//! * **`access_batch` frames** — [`Request::AccessBatch`] carries N records
-//!   in one frame; the engine scatters them to their shards (one message per
-//!   shard, not per record) and gathers the parts back into one reply.
-//! * **Sticky connections** — a [`Requester`] owns long-lived reply channels
-//!   reused across requests (no per-request `mpsc::channel` allocation), and
-//!   a batch whose records all map to one shard is handed to that shard
-//!   directly, skipping the scatter/gather bookkeeping entirely.
-//!
-//! The engine is transport-agnostic: [`ServeEngine::request`] takes a typed
-//! [`Request`] and returns a typed [`Response`], so tests drive it in-process
-//! over the same code path the Unix-socket server uses.
+//! The engine is transport-agnostic: tests call [`ServeEngine::request`]
+//! in-process over the same code path the Unix-socket server uses.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
-use pathfinder_telemetry::{counter, histogram, Histogram, HistogramSnapshot, Snapshot};
+use pathfinder_sim::Block;
+use pathfinder_telemetry::{
+    counter, record_into, Histogram, HistogramSnapshot, MemoryRecorder, Recorder,
+};
 
 use crate::protocol::{
     AccessRecord, DrainedStream, Request, Response, ServeStatus, StreamStatus, MAX_BATCH_RECORDS,
 };
 use crate::stream::{StreamSession, StreamTemplate};
 
-/// Most messages a worker drains into one burst. Bounds how long the first
-/// sender in a burst waits for its reply when the inbox is flooded.
-const MAX_BURST: usize = 256;
-
-/// How often a waiting requester rechecks its shard worker's liveness.
-/// Workers reply to every message (even refused ones), so this only fires
-/// after a worker panic.
-const REPLY_POLL: Duration = Duration::from_millis(25);
-
-/// What a shard reports for a daemon-wide `status`.
-#[derive(Debug, Clone)]
-struct ShardReport {
-    /// Live streams on the shard.
-    streams: u64,
-    /// Accesses ingested on the shard, including already-drained streams.
-    accesses: u64,
-    /// Schedule entries produced on the shard, including drained streams.
-    schedule_len: u64,
-    /// The shard thread's ambient telemetry snapshot.
-    telemetry: Snapshot,
-}
-
-/// One `access_batch` record routed to a shard: the reply slot it fills,
-/// its stream, and the load itself.
-type BatchItem = (u32, u64, AccessRecord);
-
-/// A shard's share of an `access_batch` reply: `(slot, blocks)` pairs, or
-/// the error that failed the whole frame.
-type BatchPart = Result<Vec<(u32, Vec<u64>)>, String>;
-
-/// Messages the engine sends its shard workers. Each request-shaped message
-/// carries its own reply channel, so concurrent connection threads can wait
-/// on their own replies without coordinating.
-enum ShardMsg {
-    Access {
-        stream: u64,
-        access: AccessRecord,
-        reply: Sender<Response>,
-    },
-    AccessBatch {
-        items: Vec<BatchItem>,
-        reply: Sender<BatchPart>,
-    },
-    Predict {
-        stream: u64,
-        reply: Sender<Response>,
-    },
-    Train {
-        stream: u64,
-        accesses: Vec<AccessRecord>,
-        reply: Sender<Response>,
-    },
-    StreamStatus {
-        stream: u64,
-        reply: Sender<Response>,
-    },
-    ShardStatus {
-        reply: Sender<ShardReport>,
-    },
-    SetTemplate(Box<StreamTemplate>),
-    DrainStream {
-        stream: u64,
-        reply: Sender<Response>,
-    },
-    DrainAll {
-        reply: Sender<Vec<DrainedStream>>,
-    },
-    Stop,
-}
-
-struct ShardHandle {
-    tx: Sender<ShardMsg>,
-    join: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl ShardHandle {
-    /// Whether the worker thread has exited (panicked or stopped). A
-    /// requester waiting on a reusable reply channel uses this to avoid
-    /// blocking forever on a reply that can no longer come.
-    fn finished(&self) -> bool {
-        self.join
-            .lock()
-            .expect("join lock")
-            .as_ref()
-            .is_none_or(|j| j.is_finished())
-    }
-}
+/// The reply to every per-stream request once a full drain has begun.
+const DRAINING: &str = "daemon is draining";
 
 /// Engine-boundary latency histogram names, one per verb, indexed by
 /// [`verb_index`]. Surfaced in the daemon-wide `status` telemetry JSON so
@@ -160,10 +72,33 @@ fn verb_index(req: &Request) -> usize {
     }
 }
 
-/// The daemon core: a bounded pool of stream-affine shard workers.
+fn block_ids(blocks: &[Block]) -> Vec<u64> {
+    blocks.iter().map(|b| b.0).collect()
+}
+
+/// One stripe's live streams and the totals daemon-wide `status` reports.
+#[derive(Default)]
+struct Streams {
+    live: HashMap<u64, StreamSession>,
+    /// Accesses ingested, including already-drained streams.
+    accesses: u64,
+    /// Schedule entries produced, including already-drained streams.
+    schedule_len: u64,
+}
+
+/// One lock stripe: its streams and the telemetry recorded serving them.
+/// The recorder belongs to the stripe, not to whichever short-lived thread
+/// served a request, so daemon-wide `status` sees every request's metrics.
+#[derive(Default)]
+struct Stripe {
+    streams: Streams,
+    telemetry: MemoryRecorder,
+}
+
+/// The daemon core: streams in lock stripes, served run-to-completion.
 pub struct ServeEngine {
-    shards: Vec<ShardHandle>,
-    template: Mutex<StreamTemplate>,
+    stripes: Vec<Mutex<Stripe>>,
+    template: RwLock<StreamTemplate>,
     draining: AtomicBool,
     /// Request latency at the engine boundary, one histogram per verb
     /// (nanoseconds), merged into daemon-wide `status`.
@@ -173,131 +108,260 @@ pub struct ServeEngine {
 impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
-            .field("shards", &self.shards.len())
-            .field("draining", &self.draining.load(Ordering::Relaxed))
+            .field("shards", &self.stripes.len())
+            .field("draining", &self.is_draining())
             .finish()
     }
 }
 
 impl ServeEngine {
-    /// Starts an engine with `shards` workers and the default template.
+    /// Creates an engine with `shards` lock stripes and the default
+    /// template.
     pub fn new(shards: usize) -> Self {
         ServeEngine::with_template(StreamTemplate::default(), shards)
     }
 
-    /// Starts an engine with `shards` workers built from `template`.
-    /// `shards` is clamped to at least 1.
+    /// Creates an engine with `shards` lock stripes whose streams are built
+    /// from `template`. `shards` is clamped to at least 1.
     pub fn with_template(template: StreamTemplate, shards: usize) -> Self {
-        let n = shards.max(1);
-        let shards = (0..n as u32)
-            .map(|shard_id| {
-                let (tx, rx) = mpsc::channel();
-                let tmpl = template.clone();
-                let join = std::thread::Builder::new()
-                    .name(format!("pf-serve-shard-{shard_id}"))
-                    .spawn(move || shard_worker(shard_id, tmpl, rx))
-                    .expect("spawn shard worker");
-                ShardHandle {
-                    tx,
-                    join: Mutex::new(Some(join)),
-                }
-            })
-            .collect();
         ServeEngine {
-            shards,
-            template: Mutex::new(template),
+            stripes: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            template: RwLock::new(template),
             draining: AtomicBool::new(false),
             latency: Mutex::new(std::array::from_fn(|_| Histogram::new())),
         }
     }
 
-    /// Number of shard workers.
+    /// Number of lock stripes.
     pub fn shards(&self) -> u32 {
-        self.shards.len() as u32
+        self.stripes.len() as u32
     }
 
-    /// Whether a full drain has completed: the daemon no longer serves and
-    /// its transport loop should exit.
+    /// Whether a full drain has begun: per-stream requests are refused and
+    /// the transport loop should exit.
     pub fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
-    fn shard_index(&self, stream: u64) -> usize {
-        (stream % self.shards.len() as u64) as usize
+    fn stripe_index(&self, stream: u64) -> usize {
+        (stream % self.stripes.len() as u64) as usize
     }
 
-    /// Creates a [`Requester`]: the per-connection handle whose reply
-    /// channels live as long as the connection, so the per-request
-    /// `mpsc::channel` allocation disappears from the hot path. Each
-    /// transport connection (and each bench client thread) should hold one.
+    /// Creates a [`Requester`], a per-connection handle on the engine.
     pub fn requester(&self) -> Requester<'_> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let (part_tx, part_rx) = mpsc::channel();
-        Requester {
-            engine: self,
-            reply_tx,
-            reply_rx,
-            part_tx,
-            part_rx,
-        }
+        Requester { engine: self }
     }
 
-    /// Serves one typed request. This is the single entry point shared by
-    /// the Unix-socket transport and in-process tests. One-shot convenience:
-    /// callers on a hot path should hold a [`Requester`] instead, which
-    /// reuses its reply channels across requests.
+    /// Serves one typed request on the calling thread, recording its
+    /// engine-boundary latency. This is the single entry point shared by
+    /// the Unix-socket transport and in-process callers.
     pub fn request(&self, req: Request) -> Response {
-        self.requester().request(req)
+        let verb = verb_index(&req);
+        let start = Instant::now();
+        let resp = self.serve(req).unwrap_or_else(Response::Error);
+        self.record_latency(verb, start.elapsed());
+        resp
     }
 
     fn record_latency(&self, verb: usize, elapsed: Duration) {
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.latency.lock().expect("latency lock")[verb].record(nanos);
+        self.latency
+            .lock()
+            .expect("latency lock: recording never panics")[verb]
+            .record(nanos);
     }
 
-    /// Applies a `configure` delta to the template and pushes the new
-    /// template to every shard.
-    fn configure(&self, delta: crate::protocol::ConfigDelta) -> Response {
-        let mut template = self.template.lock().expect("template lock");
-        match template.apply(&delta) {
-            Ok(()) => {
-                for shard in &self.shards {
-                    // A closed inbox just means that shard already
-                    // stopped; configure is best-effort then.
-                    let _ = shard
-                        .tx
-                        .send(ShardMsg::SetTemplate(Box::new(template.clone())));
+    fn serve(&self, req: Request) -> Result<Response, String> {
+        let unknown = |stream: u64| format!("unknown stream {stream}");
+        match req {
+            Request::Access { stream, access } => {
+                let mut blocks = self.access_batch(vec![(stream, access)], false)?;
+                Ok(Response::Prefetches(blocks.pop().unwrap_or_default()))
+            }
+            Request::AccessBatch { accesses } => {
+                Ok(Response::PrefetchBatch(self.access_batch(accesses, true)?))
+            }
+            Request::Train { stream, accesses } => {
+                let blocks = self.ingest(stream, &accesses, None)?;
+                Ok(Response::Trained {
+                    accesses: accesses.len() as u64,
+                    prefetched: blocks.iter().map(|b| b.len() as u64).sum(),
+                })
+            }
+            Request::Predict { stream } => self.with_stripe(stream, |s| {
+                let session = s.live.get(&stream).ok_or_else(|| unknown(stream))?;
+                Ok(Response::Prefetches(block_ids(session.last_prediction())))
+            }),
+            Request::Status {
+                stream: Some(stream),
+            } => self.with_stripe(stream, |s| {
+                let session = s.live.get(&stream).ok_or_else(|| unknown(stream))?;
+                Ok(Response::Stream(StreamStatus {
+                    stream,
+                    shard: self.stripe_index(stream) as u32,
+                    accesses: session.accesses(),
+                    schedule_len: session.schedule_len(),
+                    last_prediction: block_ids(session.last_prediction()),
+                    pf: session.stats(),
+                }))
+            }),
+            Request::Status { stream: None } => self.daemon_status(),
+            Request::Configure(delta) => {
+                let mut template = self
+                    .template
+                    .write()
+                    .expect("template lock: StreamTemplate::apply never panics");
+                match template.apply(&delta) {
+                    Ok(()) => Ok(Response::Ok),
+                    Err(e) => Err(format!("invalid configuration: {e}")),
                 }
-                Response::Ok
             }
-            Err(e) => Response::Error(format!("invalid configuration: {e}")),
+            Request::Drain {
+                stream: Some(stream),
+            } => {
+                let session = self.with_stripe(stream, |s| {
+                    let session = s.live.remove(&stream).ok_or_else(|| unknown(stream))?;
+                    counter!("serve.drains", 1);
+                    Ok(session)
+                })?;
+                Ok(Response::Drained(
+                    self.replay(self.stripe_index(stream), vec![session]),
+                ))
+            }
+            Request::Drain { stream: None } => self.drain_all(),
         }
     }
 
-    /// Daemon-wide `status`: fan out to every shard, merge the reports,
-    /// and fold in the engine-boundary latency histograms.
-    fn daemon_status(&self) -> Response {
-        let mut receivers = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (tx, rx) = mpsc::channel();
-            if shard.tx.send(ShardMsg::ShardStatus { reply: tx }).is_ok() {
-                receivers.push(rx);
+    /// Locks stripe `index`. A stripe poisoned by a panic mid-request
+    /// answers an error rather than panicking the caller.
+    fn lock(&self, index: usize) -> Result<MutexGuard<'_, Stripe>, String> {
+        self.stripes[index]
+            .lock()
+            .map_err(|_| format!("stripe {index} is poisoned by an earlier panic"))
+    }
+
+    /// Runs `f` on `stream`'s stripe under its lock, recording telemetry
+    /// into the stripe. Refused once a full drain has begun; the flag is
+    /// read under the lock, so it is ordered against the drain taking this
+    /// stripe's streams.
+    fn with_stripe<T>(
+        &self,
+        stream: u64,
+        f: impl FnOnce(&mut Streams) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut guard = self.lock(self.stripe_index(stream))?;
+        if self.is_draining() {
+            return Err(DRAINING.into());
+        }
+        let Stripe { streams, telemetry } = &mut *guard;
+        record_into(telemetry, || f(streams))
+    }
+
+    /// Runs `recs` through `stream`'s session, creating the session on
+    /// first use, and returns each record's prefetch blocks. `frames` is
+    /// set for a group from an `access_batch` frame: the number of frames
+    /// it adds to `serve.batch.frames` (1 for a frame's first group).
+    fn ingest(
+        &self,
+        stream: u64,
+        recs: &[AccessRecord],
+        frames: Option<u64>,
+    ) -> Result<Vec<Vec<Block>>, String> {
+        self.with_stripe(stream, |s| {
+            let session = match s.live.entry(stream) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let template = self
+                        .template
+                        .read()
+                        .expect("template lock: StreamTemplate::apply never panics");
+                    counter!("serve.streams_created", 1);
+                    e.insert(StreamSession::new(stream, &template)?)
+                }
+            };
+            let (blocks, grouped_inferences) = session.access_run(recs);
+            let n = recs.len() as u64;
+            let issued: u64 = blocks.iter().map(|b| b.len() as u64).sum();
+            counter!("serve.accesses", n);
+            counter!("serve.prefetches", issued);
+            if let Some(frames) = frames {
+                counter!("serve.batch.frames", frames);
+                counter!("serve.batch.accesses", n);
+                if n > 1 {
+                    counter!("serve.batch.inference_grouped", grouped_inferences);
+                }
+            }
+            s.accesses += n;
+            s.schedule_len += issued;
+            Ok(blocks)
+        })
+    }
+
+    /// Serves an `access_batch` frame (`frame`) or a singleton `access`:
+    /// one [`ServeEngine::ingest`] per stream, replies in request order.
+    fn access_batch(
+        &self,
+        accesses: Vec<(u64, AccessRecord)>,
+        frame: bool,
+    ) -> Result<Vec<Vec<u64>>, String> {
+        let n = accesses.len();
+        if n > MAX_BATCH_RECORDS {
+            // The wire decoder already rejects these; this guards
+            // in-process callers.
+            return Err(format!(
+                "access_batch of {n} records exceeds the {MAX_BATCH_RECORDS}-record cap"
+            ));
+        }
+        // A stable sort groups records by stream and keeps each stream's
+        // records in arrival order.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| accesses[i].0);
+        let mut out = vec![Vec::new(); n];
+        let groups = order.chunk_by(|&a, &b| accesses[a].0 == accesses[b].0);
+        for (g, group) in groups.enumerate() {
+            let recs: Vec<AccessRecord> = group.iter().map(|&i| accesses[i].1).collect();
+            let frames = frame.then_some(u64::from(g == 0));
+            let blocks = self.ingest(accesses[group[0]].0, &recs, frames)?;
+            for (&i, blocks) in group.iter().zip(blocks) {
+                out[i] = block_ids(&blocks);
             }
         }
+        Ok(out)
+    }
+
+    /// Replays drained sessions outside any lock, then folds the replay's
+    /// telemetry into stripe `index`.
+    fn replay(&self, index: usize, sessions: Vec<StreamSession>) -> Vec<DrainedStream> {
+        let local = MemoryRecorder::new();
+        let drained = record_into(&local, || {
+            sessions.into_iter().map(StreamSession::drain).collect()
+        });
+        if let Ok(stripe) = self.stripes[index].lock() {
+            stripe.telemetry.merge(&local);
+        }
+        drained
+    }
+
+    /// Daemon-wide `status`: every stripe's totals and telemetry, plus the
+    /// engine-boundary latency histograms.
+    fn daemon_status(&self) -> Result<Response, String> {
         let mut streams = 0u64;
         let mut accesses = 0u64;
         let mut schedule_len = 0u64;
-        let mut telemetry = Snapshot::default();
-        for rx in receivers {
-            if let Ok(report) = rx.recv() {
-                streams += report.streams;
-                accesses += report.accesses;
-                schedule_len += report.schedule_len;
-                telemetry.merge(&report.telemetry);
-            }
+        let merged = MemoryRecorder::new();
+        for index in 0..self.stripes.len() {
+            let stripe = self.lock(index)?;
+            streams += stripe.streams.live.len() as u64;
+            accesses += stripe.streams.accesses;
+            schedule_len += stripe.streams.schedule_len;
+            merged.merge(&stripe.telemetry);
         }
+        let mut telemetry = merged.snapshot();
         {
-            let latency = self.latency.lock().expect("latency lock");
+            let latency = self
+                .latency
+                .lock()
+                .expect("latency lock: recording never panics");
             for (name, h) in VERB_LATENCY.iter().zip(latency.iter()) {
                 if h.count() > 0 {
                     telemetry
@@ -306,622 +370,46 @@ impl ServeEngine {
                 }
             }
         }
-        Response::Status(ServeStatus {
+        Ok(Response::Status(ServeStatus {
             shards: self.shards(),
             streams,
             accesses,
             schedule_len,
             telemetry_json: telemetry.to_json(),
-        })
+        }))
     }
 
-    /// Full drain: every stream on every shard is finished (timed replay +
-    /// final stats), the workers stop, and the engine flags itself as
-    /// draining so the transport loop shuts down.
-    fn drain_all(&self) -> Response {
+    /// Full drain: raises `draining`, then takes every stripe's streams
+    /// (one lock at a time) and replays them, sorted by stream id.
+    fn drain_all(&self) -> Result<Response, String> {
         self.draining.store(true, Ordering::SeqCst);
-        let mut receivers = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (tx, rx) = mpsc::channel();
-            if shard.tx.send(ShardMsg::DrainAll { reply: tx }).is_ok() {
-                receivers.push(rx);
-            }
+        let mut drained = Vec::new();
+        for index in 0..self.stripes.len() {
+            let sessions: Vec<StreamSession> = {
+                let mut guard = self.lock(index)?;
+                let Stripe { streams, telemetry } = &mut *guard;
+                let taken = std::mem::take(&mut streams.live);
+                record_into(telemetry, || counter!("serve.drains", taken.len()));
+                taken.into_values().collect()
+            };
+            drained.extend(self.replay(index, sessions));
         }
-        let mut drained: Vec<DrainedStream> = Vec::new();
-        for rx in receivers {
-            if let Ok(mut streams) = rx.recv() {
-                drained.append(&mut streams);
-            }
-        }
-        drained.sort_by_key(|s| s.stream);
-        for shard in &self.shards {
-            let _ = shard.tx.send(ShardMsg::Stop);
-            if let Some(join) = shard.join.lock().expect("join lock").take() {
-                let _ = join.join();
-            }
-        }
-        Response::Drained(drained)
+        drained.sort_by_key(|d| d.stream);
+        Ok(Response::Drained(drained))
     }
 }
 
-impl Drop for ServeEngine {
-    fn drop(&mut self) {
-        // Stop workers that a full drain never reached (abandoned engine).
-        for shard in &self.shards {
-            let _ = shard.tx.send(ShardMsg::Stop);
-        }
-        for shard in &self.shards {
-            if let Some(join) = shard.join.lock().expect("join lock").take() {
-                let _ = join.join();
-            }
-        }
-    }
-}
-
-/// A sticky per-connection (or per-thread) handle on the engine.
-///
-/// Owns one long-lived reply channel per reply shape, reused across every
-/// request it serves — the per-request `mpsc::channel` allocation the
-/// original `roundtrip` paid is gone. Because the requester keeps its own
-/// sender half alive, a dead worker can no longer unblock it by
-/// disconnecting the channel; workers therefore actively reply to every
-/// message they refuse, and the requester polls worker liveness as a
-/// panic backstop.
+/// A per-connection (or per-client-thread) handle on the engine. Requests
+/// run on the calling thread, so the handle holds nothing but the engine.
+#[derive(Debug)]
 pub struct Requester<'a> {
     engine: &'a ServeEngine,
-    reply_tx: Sender<Response>,
-    reply_rx: Receiver<Response>,
-    part_tx: Sender<BatchPart>,
-    part_rx: Receiver<BatchPart>,
-}
-
-impl std::fmt::Debug for Requester<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Requester")
-            .field("engine", self.engine)
-            .finish()
-    }
 }
 
 impl Requester<'_> {
-    /// Serves one typed request, recording its engine-boundary latency.
+    /// Serves one typed request; see [`ServeEngine::request`].
     pub fn request(&mut self, req: Request) -> Response {
-        let verb = verb_index(&req);
-        let start = Instant::now();
-        let resp = self.dispatch(req);
-        self.engine.record_latency(verb, start.elapsed());
-        resp
-    }
-
-    fn dispatch(&mut self, req: Request) -> Response {
-        match req {
-            Request::Access { stream, access } => {
-                let msg = ShardMsg::Access {
-                    stream,
-                    access,
-                    reply: self.reply_tx.clone(),
-                };
-                self.roundtrip(stream, msg)
-            }
-            Request::AccessBatch { accesses } => self.access_batch(accesses),
-            Request::Predict { stream } => {
-                let msg = ShardMsg::Predict {
-                    stream,
-                    reply: self.reply_tx.clone(),
-                };
-                self.roundtrip(stream, msg)
-            }
-            Request::Train { stream, accesses } => {
-                let msg = ShardMsg::Train {
-                    stream,
-                    accesses,
-                    reply: self.reply_tx.clone(),
-                };
-                self.roundtrip(stream, msg)
-            }
-            Request::Status {
-                stream: Some(stream),
-            } => {
-                let msg = ShardMsg::StreamStatus {
-                    stream,
-                    reply: self.reply_tx.clone(),
-                };
-                self.roundtrip(stream, msg)
-            }
-            Request::Status { stream: None } => self.engine.daemon_status(),
-            Request::Configure(delta) => self.engine.configure(delta),
-            Request::Drain {
-                stream: Some(stream),
-            } => {
-                let msg = ShardMsg::DrainStream {
-                    stream,
-                    reply: self.reply_tx.clone(),
-                };
-                self.roundtrip(stream, msg)
-            }
-            Request::Drain { stream: None } => self.engine.drain_all(),
-        }
-    }
-
-    /// Sends a per-stream message to its shard and waits on the reusable
-    /// reply channel.
-    fn roundtrip(&mut self, stream: u64, msg: ShardMsg) -> Response {
-        let shard = self.engine.shard_index(stream);
-        if self.engine.shards[shard].tx.send(msg).is_err() {
-            return Response::Error("daemon is draining".into());
-        }
-        loop {
-            match self.reply_rx.recv_timeout(REPLY_POLL) {
-                Ok(resp) => return resp,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.engine.shards[shard].finished() {
-                        // The worker may have replied just before exiting.
-                        return self
-                            .reply_rx
-                            .try_recv()
-                            .unwrap_or_else(|_| Response::Error("shard worker exited".into()));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Unreachable while `self.reply_tx` is alive; defensive.
-                    return Response::Error("shard worker exited".into());
-                }
-            }
-        }
-    }
-
-    /// Scatter an `access_batch` frame to its shards (one message per
-    /// shard), gather the parts, reassemble the reply in request order.
-    /// When every record maps to one shard — the sticky-connection case —
-    /// the whole frame goes to that shard directly.
-    fn access_batch(&mut self, accesses: Vec<(u64, AccessRecord)>) -> Response {
-        let n = accesses.len();
-        if n == 0 {
-            return Response::PrefetchBatch(Vec::new());
-        }
-        if n > MAX_BATCH_RECORDS {
-            // The wire decoder already rejects these; this guards
-            // in-process callers.
-            return Response::Error(format!(
-                "access_batch of {n} records exceeds the {MAX_BATCH_RECORDS}-record cap"
-            ));
-        }
-        let nshards = self.engine.shards.len() as u64;
-        let first_shard = (accesses[0].0 % nshards) as usize;
-        let sticky = accesses
-            .iter()
-            .all(|(stream, _)| (stream % nshards) as usize == first_shard);
-
-        let mut sent: Vec<usize> = Vec::new();
-        let mut send_failed = false;
-        if sticky {
-            let items: Vec<BatchItem> = accesses
-                .into_iter()
-                .enumerate()
-                .map(|(slot, (stream, rec))| (slot as u32, stream, rec))
-                .collect();
-            let msg = ShardMsg::AccessBatch {
-                items,
-                reply: self.part_tx.clone(),
-            };
-            if self.engine.shards[first_shard].tx.send(msg).is_ok() {
-                sent.push(first_shard);
-            } else {
-                send_failed = true;
-            }
-        } else {
-            let mut per_shard: Vec<Vec<BatchItem>> = vec![Vec::new(); nshards as usize];
-            for (slot, (stream, rec)) in accesses.into_iter().enumerate() {
-                per_shard[(stream % nshards) as usize].push((slot as u32, stream, rec));
-            }
-            for (idx, items) in per_shard.into_iter().enumerate() {
-                if items.is_empty() {
-                    continue;
-                }
-                let msg = ShardMsg::AccessBatch {
-                    items,
-                    reply: self.part_tx.clone(),
-                };
-                if self.engine.shards[idx].tx.send(msg).is_err() {
-                    send_failed = true;
-                    break;
-                }
-                sent.push(idx);
-            }
-        }
-
-        let mut out: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let collected = self.collect_parts(&sent, &mut out);
-        match collected {
-            Ok(()) if !send_failed => Response::PrefetchBatch(out),
-            Ok(()) => Response::Error("daemon is draining".into()),
-            Err(e) => {
-                // A part may never arrive (worker panic) or may arrive
-                // late; start the next request from fresh channels so no
-                // stale part can leak into it.
-                let (part_tx, part_rx) = mpsc::channel();
-                self.part_tx = part_tx;
-                self.part_rx = part_rx;
-                Response::Error(e)
-            }
-        }
-    }
-
-    /// Waits for one part per shard in `sent`, scattering block vectors
-    /// into their reply slots. Keeps collecting after a failed part so the
-    /// reusable channel ends the frame empty.
-    fn collect_parts(&mut self, sent: &[usize], out: &mut [Vec<u64>]) -> Result<(), String> {
-        let mut failure: Option<String> = None;
-        for _ in 0..sent.len() {
-            let part = loop {
-                match self.part_rx.recv_timeout(REPLY_POLL) {
-                    Ok(part) => break part,
-                    Err(RecvTimeoutError::Timeout) => {
-                        if sent.iter().any(|&idx| self.engine.shards[idx].finished()) {
-                            // A worker died mid-frame; grab whatever
-                            // arrived, then give up on the rest.
-                            match self.part_rx.try_recv() {
-                                Ok(part) => break part,
-                                Err(_) => {
-                                    return Err(
-                                        failure.unwrap_or_else(|| "shard worker exited".into())
-                                    )
-                                }
-                            }
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(failure.unwrap_or_else(|| "shard worker exited".into()));
-                    }
-                }
-            };
-            match part {
-                Ok(slots) => {
-                    for (slot, blocks) in slots {
-                        if let Some(o) = out.get_mut(slot as usize) {
-                            *o = blocks;
-                        }
-                    }
-                }
-                Err(e) => failure = Some(e),
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// A unit of access-shaped work inside one burst: either a singleton
-/// `access` or a shard's share of an `access_batch` frame. Collected into
-/// contiguous runs so [`flush_run`] can group records by stream.
-enum AccessWork {
-    Single {
-        stream: u64,
-        access: AccessRecord,
-        reply: Sender<Response>,
-    },
-    Batch {
-        items: Vec<BatchItem>,
-        reply: Sender<BatchPart>,
-    },
-}
-
-/// One borrow point for lazy stream creation, shared by access + train.
-fn session_mut<'a>(
-    streams: &'a mut HashMap<u64, StreamSession>,
-    stream: u64,
-    template: &StreamTemplate,
-) -> Result<&'a mut StreamSession, String> {
-    use std::collections::hash_map::Entry;
-    match streams.entry(stream) {
-        Entry::Occupied(e) => Ok(e.into_mut()),
-        Entry::Vacant(e) => {
-            counter!("serve.streams_created", 1);
-            Ok(e.insert(StreamSession::new(stream, template)?))
-        }
-    }
-}
-
-/// One grouped entry of a flushed run: the stream, its records in arrival
-/// order, and each record's origin as `(work index, reply slot)`.
-type RunGroup = (u64, Vec<AccessRecord>, Vec<(usize, u32)>);
-
-/// Processes one contiguous run of access-shaped messages: groups records
-/// by stream (first-appearance order, per-stream arrival order untouched),
-/// runs each stream's records back-to-back through its session — the warm
-/// path for duty-cycled frozen inference — then sends every deferred reply.
-fn flush_run(
-    run: &mut Vec<AccessWork>,
-    streams: &mut HashMap<u64, StreamSession>,
-    template: &StreamTemplate,
-    total_accesses: &mut u64,
-    total_schedule: &mut u64,
-) {
-    if run.is_empty() {
-        return;
-    }
-    let mut batch_frames = 0u64;
-    let mut batch_records = 0u64;
-    // stream -> position in `groups`.
-    let mut index: HashMap<u64, usize> = HashMap::new();
-    let mut groups: Vec<RunGroup> = Vec::new();
-    {
-        let mut push = |stream: u64, rec: AccessRecord, origin: (usize, u32)| {
-            let at = *index.entry(stream).or_insert_with(|| {
-                groups.push((stream, Vec::new(), Vec::new()));
-                groups.len() - 1
-            });
-            groups[at].1.push(rec);
-            groups[at].2.push(origin);
-        };
-        for (wi, work) in run.iter().enumerate() {
-            match work {
-                AccessWork::Single { stream, access, .. } => push(*stream, *access, (wi, 0)),
-                AccessWork::Batch { items, .. } => {
-                    batch_frames += 1;
-                    batch_records += items.len() as u64;
-                    for &(slot, stream, rec) in items {
-                        push(stream, rec, (wi, slot));
-                    }
-                }
-            }
-        }
-    }
-    if batch_frames > 0 {
-        counter!("serve.batch.frames", batch_frames);
-        counter!("serve.batch.accesses", batch_records);
-    }
-
-    let mut results: Vec<Vec<(u32, Vec<u64>)>> = run
-        .iter()
-        .map(|w| match w {
-            AccessWork::Single { .. } => Vec::with_capacity(1),
-            AccessWork::Batch { items, .. } => Vec::with_capacity(items.len()),
-        })
-        .collect();
-    let mut failures: Vec<Option<String>> = vec![None; run.len()];
-
-    for (stream, recs, origins) in groups {
-        match session_mut(streams, stream, template) {
-            Ok(session) => {
-                let (blocks, grouped_inferences) = session.access_run(&recs);
-                if recs.len() > 1 {
-                    counter!("serve.batch.inference_grouped", grouped_inferences);
-                }
-                let issued: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-                counter!("serve.accesses", recs.len() as u64);
-                counter!("serve.prefetches", issued);
-                *total_accesses += recs.len() as u64;
-                *total_schedule += issued;
-                for ((wi, slot), bl) in origins.into_iter().zip(blocks) {
-                    results[wi].push((slot, bl.into_iter().map(|b| b.0).collect()));
-                }
-            }
-            Err(e) => {
-                for (wi, _) in origins {
-                    failures[wi].get_or_insert_with(|| e.clone());
-                }
-            }
-        }
-    }
-
-    for ((work, result), failure) in run.drain(..).zip(results).zip(failures) {
-        match work {
-            AccessWork::Single { reply, .. } => {
-                let resp = match failure {
-                    Some(e) => Response::Error(e),
-                    None => Response::Prefetches(
-                        result
-                            .into_iter()
-                            .next()
-                            .map(|(_, b)| b)
-                            .unwrap_or_default(),
-                    ),
-                };
-                let _ = reply.send(resp);
-            }
-            AccessWork::Batch { reply, .. } => {
-                let part = match failure {
-                    Some(e) => Err(e),
-                    None => Ok(result),
-                };
-                let _ = reply.send(part);
-            }
-        }
-    }
-}
-
-/// Replies to a message a stopping worker will not serve. Requesters hold
-/// reusable reply channels, so a dropped message would leave them waiting
-/// forever — every refusal must be an explicit reply.
-fn refuse(msg: ShardMsg) {
-    let draining = "daemon is draining";
-    match msg {
-        ShardMsg::Access { reply, .. }
-        | ShardMsg::Predict { reply, .. }
-        | ShardMsg::Train { reply, .. }
-        | ShardMsg::StreamStatus { reply, .. }
-        | ShardMsg::DrainStream { reply, .. } => {
-            let _ = reply.send(Response::Error(draining.into()));
-        }
-        ShardMsg::AccessBatch { reply, .. } => {
-            let _ = reply.send(Err(draining.into()));
-        }
-        // Status/drain fan-outs use per-call channels; dropping the sender
-        // disconnects them, which their receivers already treat as "shard
-        // gone". Template pushes and stops carry no reply.
-        ShardMsg::ShardStatus { .. }
-        | ShardMsg::DrainAll { .. }
-        | ShardMsg::SetTemplate(_)
-        | ShardMsg::Stop => {}
-    }
-}
-
-/// The shard worker loop: owns this shard's streams and drains its inbox in
-/// bursts — block on the first message, `try_recv` the rest, process the
-/// whole burst (grouping contiguous access-shaped runs by stream), then
-/// reply. Per-stream order is preserved throughout, so the
-/// bit-identical-to-batch guarantee is untouched.
-fn shard_worker(shard_id: u32, mut template: StreamTemplate, rx: Receiver<ShardMsg>) {
-    let mut streams: HashMap<u64, StreamSession> = HashMap::new();
-    // Totals survive per-stream drains so daemon-wide `status` keeps
-    // counting work already finished.
-    let mut total_accesses = 0u64;
-    let mut total_schedule = 0u64;
-    let mut burst: Vec<ShardMsg> = Vec::with_capacity(MAX_BURST);
-    let mut run: Vec<AccessWork> = Vec::new();
-
-    'serve: loop {
-        match rx.recv() {
-            Ok(msg) => burst.push(msg),
-            Err(_) => break 'serve,
-        }
-        while burst.len() < MAX_BURST {
-            match rx.try_recv() {
-                Ok(msg) => burst.push(msg),
-                Err(_) => break,
-            }
-        }
-        histogram!("serve.shard.burst", burst.len() as u64);
-
-        let mut stopping = false;
-        for msg in burst.drain(..) {
-            if stopping {
-                refuse(msg);
-                continue;
-            }
-            match msg {
-                ShardMsg::Access {
-                    stream,
-                    access,
-                    reply,
-                } => run.push(AccessWork::Single {
-                    stream,
-                    access,
-                    reply,
-                }),
-                ShardMsg::AccessBatch { items, reply } => {
-                    run.push(AccessWork::Batch { items, reply })
-                }
-                other => {
-                    // A non-access verb ends the contiguous access run:
-                    // flush it first so message order is preserved.
-                    flush_run(
-                        &mut run,
-                        &mut streams,
-                        &template,
-                        &mut total_accesses,
-                        &mut total_schedule,
-                    );
-                    match other {
-                        ShardMsg::Stop => stopping = true,
-                        ShardMsg::Predict { stream, reply } => {
-                            let resp = match streams.get(&stream) {
-                                Some(session) => Response::Prefetches(
-                                    session.last_prediction().iter().map(|b| b.0).collect(),
-                                ),
-                                None => Response::Error(format!("unknown stream {stream}")),
-                            };
-                            let _ = reply.send(resp);
-                        }
-                        ShardMsg::Train {
-                            stream,
-                            accesses,
-                            reply,
-                        } => {
-                            let resp = match session_mut(&mut streams, stream, &template) {
-                                Ok(session) => {
-                                    let n = accesses.len() as u64;
-                                    let (blocks, _) = session.access_run(&accesses);
-                                    let prefetched: u64 =
-                                        blocks.iter().map(|b| b.len() as u64).sum();
-                                    counter!("serve.accesses", n);
-                                    counter!("serve.prefetches", prefetched);
-                                    total_accesses += n;
-                                    total_schedule += prefetched;
-                                    Response::Trained {
-                                        accesses: n,
-                                        prefetched,
-                                    }
-                                }
-                                Err(e) => Response::Error(e),
-                            };
-                            let _ = reply.send(resp);
-                        }
-                        ShardMsg::StreamStatus { stream, reply } => {
-                            let resp = match streams.get(&stream) {
-                                Some(session) => Response::Stream(StreamStatus {
-                                    stream,
-                                    shard: shard_id,
-                                    accesses: session.accesses(),
-                                    schedule_len: session.schedule_len(),
-                                    last_prediction: session
-                                        .last_prediction()
-                                        .iter()
-                                        .map(|b| b.0)
-                                        .collect(),
-                                    pf: session.stats(),
-                                }),
-                                None => Response::Error(format!("unknown stream {stream}")),
-                            };
-                            let _ = reply.send(resp);
-                        }
-                        ShardMsg::ShardStatus { reply } => {
-                            let _ = reply.send(ShardReport {
-                                streams: streams.len() as u64,
-                                accesses: total_accesses,
-                                schedule_len: total_schedule,
-                                telemetry: pathfinder_telemetry::snapshot(),
-                            });
-                        }
-                        ShardMsg::SetTemplate(new_template) => {
-                            template = *new_template;
-                        }
-                        ShardMsg::DrainStream { stream, reply } => {
-                            let resp = match streams.remove(&stream) {
-                                Some(session) => {
-                                    counter!("serve.drains", 1);
-                                    Response::Drained(vec![session.drain()])
-                                }
-                                None => Response::Error(format!("unknown stream {stream}")),
-                            };
-                            let _ = reply.send(resp);
-                        }
-                        ShardMsg::DrainAll { reply } => {
-                            let mut ids: Vec<u64> = streams.keys().copied().collect();
-                            ids.sort_unstable();
-                            let drained: Vec<DrainedStream> = ids
-                                .into_iter()
-                                .filter_map(|id| streams.remove(&id))
-                                .map(|session| {
-                                    counter!("serve.drains", 1);
-                                    session.drain()
-                                })
-                                .collect();
-                            let _ = reply.send(drained);
-                        }
-                        ShardMsg::Access { .. } | ShardMsg::AccessBatch { .. } => unreachable!(),
-                    }
-                }
-            }
-        }
-        flush_run(
-            &mut run,
-            &mut streams,
-            &template,
-            &mut total_accesses,
-            &mut total_schedule,
-        );
-        if stopping {
-            // Refuse whatever is still queued before dropping the inbox so
-            // no requester is left waiting on a reusable channel.
-            while let Ok(msg) = rx.try_recv() {
-                refuse(msg);
-            }
-            break 'serve;
-        }
+        self.engine.request(req)
     }
 }
 
@@ -939,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn verbs_round_trip_through_the_pool() {
+    fn verbs_round_trip_through_the_stripes() {
         let engine = ServeEngine::new(3);
         assert_eq!(engine.shards(), 3);
 
@@ -1012,7 +500,7 @@ mod tests {
         assert_eq!(daemon.streams, 1);
         assert_eq!(daemon.accesses, 80, "drained work still counted");
 
-        // Full drain returns the remaining stream and shuts the pool down.
+        // Full drain returns the remaining stream and refuses what follows.
         let Response::Drained(rest) = engine.request(Request::Drain { stream: None }) else {
             panic!("full drain failed")
         };
@@ -1103,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn requester_reuses_channels_across_verbs_and_survives_drain() {
+    fn requester_serves_every_verb_and_survives_drain() {
         let engine = ServeEngine::new(2);
         let mut requester = engine.requester();
         for i in 0..20 {
@@ -1113,12 +601,12 @@ mod tests {
             });
             assert!(matches!(resp, Response::Prefetches(_)));
         }
-        // Sticky single-shard batch (stream 4 only) takes the direct path.
+        // A single-stream batch runs as one group.
         let resp = requester.request(Request::AccessBatch {
             accesses: (20..30).map(|i| (4, rec(i))).collect(),
         });
         let Response::PrefetchBatch(parts) = resp else {
-            panic!("sticky batch failed")
+            panic!("single-stream batch failed")
         };
         assert_eq!(parts.len(), 10);
 
@@ -1129,7 +617,7 @@ mod tests {
         assert_eq!(status.accesses, 30);
 
         // Full drain through the same requester, then further requests on
-        // it fail cleanly instead of hanging on the reusable channel.
+        // it are refused.
         let Response::Drained(drained) = requester.request(Request::Drain { stream: None }) else {
             panic!("drain failed")
         };
@@ -1181,8 +669,8 @@ mod tests {
         ignore = "snn.frozen.batch counters need the telemetry feature (on in workspace builds)"
     )]
     fn status_surfaces_frozen_batch_counters() {
-        // Duty-cycle learning off after 50 accesses so the burst-drained
-        // batch's tail runs as one frozen segment, whose cache-missing
+        // Duty-cycle learning off after 50 accesses so the batch's tail
+        // runs as one frozen segment, whose cache-missing
         // queries dispatch through `present_frozen_batch` — visible in the
         // merged status JSON as the snn.frozen.batch family, alongside the
         // serve.batch.* counters.
@@ -1225,6 +713,97 @@ mod tests {
                 status.telemetry_json
             );
         }
+    }
+
+    #[test]
+    fn full_drain_races_cleanly_with_concurrent_accesses() {
+        use std::sync::atomic::AtomicU64;
+
+        // Four streams on two stripes, each driven by its own thread until
+        // the drain refuses it. The drain starts only once every thread
+        // has been served, so it lands mid-traffic on every stripe.
+        const THREADS: usize = 4;
+        let engine = ServeEngine::new(2);
+        let served: [AtomicU64; THREADS] = std::array::from_fn(|_| AtomicU64::new(0));
+        let (drained, replies) = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (engine, served) = (&engine, &served[t]);
+                    scope.spawn(move || {
+                        for i in 0.. {
+                            match engine.request(Request::Access {
+                                stream: t as u64,
+                                access: rec(i),
+                            }) {
+                                Response::Prefetches(_) => {
+                                    served.fetch_add(1, Ordering::SeqCst);
+                                }
+                                Response::Error(e) => {
+                                    assert_eq!(e, DRAINING);
+                                    break;
+                                }
+                                other => panic!("access replied {other:?}"),
+                            }
+                        }
+                        served.load(Ordering::SeqCst)
+                    })
+                })
+                .collect();
+            while served.iter().any(|n| n.load(Ordering::SeqCst) < 3) {
+                std::thread::yield_now();
+            }
+            let drained = engine.request(Request::Drain { stream: None });
+            let replies: Vec<u64> = workers
+                .into_iter()
+                .map(|w| w.join().expect("worker thread"))
+                .collect();
+            (drained, replies)
+        });
+        let Response::Drained(drained) = drained else {
+            panic!("full drain replied {drained:?}")
+        };
+        let ids: Vec<u64> = drained.iter().map(|d| d.stream).collect();
+        assert_eq!(ids, (0..THREADS as u64).collect::<Vec<_>>());
+        for (d, &n) in drained.iter().zip(&replies) {
+            assert_eq!(
+                d.pf.accesses, n,
+                "stream {}: drained accesses vs Prefetches replies",
+                d.stream
+            );
+        }
+    }
+
+    #[test]
+    fn poisoned_stripe_answers_error_and_other_stripes_keep_serving() {
+        let engine = ServeEngine::new(2);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = engine.stripes[0].lock().expect("fresh stripe");
+                    panic!("poison stripe 0");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        let resp = engine.request(Request::Access {
+            stream: 0,
+            access: rec(0),
+        });
+        assert!(
+            matches!(&resp, Response::Error(e) if e.contains("poisoned")),
+            "{resp:?}"
+        );
+        assert!(matches!(
+            engine.request(Request::Status { stream: None }),
+            Response::Error(_)
+        ));
+        assert!(matches!(
+            engine.request(Request::Access {
+                stream: 1,
+                access: rec(0),
+            }),
+            Response::Prefetches(_)
+        ));
     }
 
     #[test]

@@ -6,31 +6,32 @@
 //! streams implicitly by naming a 64-bit stream id, push `(pc, addr)` demand
 //! loads one at a time (`access`), many per frame with per-record replies
 //! (`access_batch`), or in aggregate-reply frames (`train`), read
-//! predictions back (`predict`), inspect counters and per-shard telemetry
+//! predictions back (`predict`), inspect counters and per-stripe telemetry
 //! (`status`), retune the template for future streams (`configure`), and
 //! finish streams (`drain`) — receiving the full prefetch schedule, the
 //! timed-replay [`pathfinder_sim::SimReport`], and the prefetcher's final
 //! counters.
 //!
-//! The serving hot path is batched at every layer (see [`engine`]):
-//! `access_batch` amortizes framing, shard workers drain their inboxes in
-//! bursts and group contiguous access runs by stream so duty-cycled frozen
-//! inference runs back-to-back with warm weights, and each connection holds
-//! a sticky [`Requester`] whose reply channels are reused across requests.
+//! Requests run to completion on the thread that receives them (see
+//! [`engine`]): a socket connection thread, or the in-process caller, serves
+//! each request inline under the lock stripe that owns its stream. An
+//! `access_batch` frame amortizes framing and runs each stream's records as
+//! one group, so duty-cycled frozen inference shares one batched kernel call.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  clients ──frames──▶ UnixListener ──▶ ServeEngine ──ShardMsg──▶ shard 0 ─▶ streams 0,S,2S…
-//!           (wire.rs)   (socket.rs)      (engine.rs)   (mpsc)      shard 1 ─▶ streams 1,S+1…
-//!                                                                  …
+//!  clients ──frames──▶ connection thread ──inline──▶ ServeEngine ──lock──▶ stripe 0: streams 0,S,2S…
+//!           (wire.rs)     (socket.rs)                (engine.rs)            stripe 1: streams 1,S+1…
+//!                                                                           …
 //! ```
 //!
-//! Streams are sharded by `stream_id % shards` onto persistent workers,
-//! each processing its inbox serially — per-stream order is preserved by
-//! construction, with no locks on the hot path. The engine is
-//! transport-agnostic: tests call [`ServeEngine::request`] in-process; the
-//! daemon wraps the same method in length-prefixed frames on a Unix socket.
+//! Streams map to stripe `stream_id % shards`. Each stripe is one mutex over
+//! its streams' sessions, totals and telemetry; a stream's requests are
+//! served under that lock, so per-stream order is preserved while streams on
+//! other stripes serve in parallel. The engine is transport-agnostic: tests
+//! call [`ServeEngine::request`] in-process; the daemon wraps the same
+//! method in length-prefixed frames on a Unix socket.
 //!
 //! # Parity discipline
 //!

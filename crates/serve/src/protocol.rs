@@ -7,7 +7,7 @@
 //!   carries the prefetch blocks issued for exactly that trigger.
 //! * [`Request::AccessBatch`] — observe N demand loads across any mix of
 //!   streams in one frame; the reply carries N block vectors, one per
-//!   record in request order. This amortizes framing and the shard
+//!   record in request order. This amortizes framing and the socket
 //!   round trip over the whole batch while producing the same per-access
 //!   answers `access` would (records for the same stream are applied in
 //!   frame order).
@@ -17,7 +17,7 @@
 //!   per-access path as `access` (warmup/training ingestion at frame
 //!   granularity); only aggregate counts come back.
 //! * [`Request::Status`] — per-stream counters, or daemon-wide aggregates
-//!   plus the merged per-shard telemetry snapshot as JSON.
+//!   plus the merged per-stripe telemetry snapshot as JSON.
 //! * [`Request::Configure`] — adjust the template new streams are built
 //!   from; existing streams are immutable (that is what keeps them
 //!   bit-identical to batch runs).
@@ -284,7 +284,7 @@ impl Request {
 pub struct StreamStatus {
     /// Stream id.
     pub stream: u64,
-    /// Shard worker owning the stream.
+    /// Lock stripe holding the stream (`stream % shards`).
     pub shard: u32,
     /// Demand loads ingested so far.
     pub accesses: u64,
@@ -299,15 +299,15 @@ pub struct StreamStatus {
 /// Daemon-wide aggregates (`status` without a stream id).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStatus {
-    /// Shard workers in the pool.
+    /// Lock stripes streams are spread over (`--shards`).
     pub shards: u32,
-    /// Live streams across all shards.
+    /// Live streams across all stripes.
     pub streams: u64,
     /// Demand loads ingested across all streams (including drained ones).
     pub accesses: u64,
     /// Schedule entries accumulated across all streams (including drained).
     pub schedule_len: u64,
-    /// Merged per-shard telemetry snapshot, as the telemetry crate's JSON
+    /// Merged per-stripe telemetry snapshot, as the telemetry crate's JSON
     /// document (empty object when telemetry is compiled out).
     pub telemetry_json: String,
 }

@@ -1,30 +1,34 @@
 //! Unix-socket transport: the daemon's accept loop and a blocking client.
 //!
-//! Connections are one thread each, serving length-prefixed
-//! [`Request`]/[`Response`] frames until the peer disconnects. The accept
-//! loop polls a nonblocking listener so it can notice a completed full drain
-//! (`Drain { stream: None }`) and exit cleanly, removing the socket file.
+//! Connections are one thread each, reading length-prefixed
+//! [`Request`]/[`Response`] frames with blocking reads and serving each
+//! request inline on the engine until the peer disconnects. A full drain
+//! (`Drain { stream: None }`) ends the daemon: the connection that drained
+//! writes its reply, wakes the blocked accept loop with one self-connect,
+//! and the loop shuts down the read half of every live connection so idle
+//! peers cannot hold the daemon open, then removes the socket file.
 
 use std::io;
-use std::io::Read;
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::engine::ServeEngine;
 use crate::protocol::{Request, Response};
-use crate::wire::{read_frame, write_frame, MAX_FRAME_LEN};
+use crate::wire::{read_frame, write_frame};
 
-/// How often the accept loop checks for shutdown while idle.
+/// How often [`UnixClient::connect_with_retry`] retries a refused connect.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Serves `engine` on a Unix socket at `path` until a full drain completes.
 ///
 /// A stale socket file at `path` is removed before binding (daemons killed
 /// hard leave one behind); the file is removed again on clean exit. Returns
-/// once the engine reports draining and every connection thread has
-/// finished.
+/// once a full drain has been served over the socket and every connection
+/// thread has finished.
 ///
 /// # Errors
 ///
@@ -34,111 +38,63 @@ pub fn serve_unix(engine: Arc<ServeEngine>, path: &Path) -> io::Result<()> {
         std::fs::remove_file(path)?;
     }
     let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-    while !engine.is_draining() {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let engine = Arc::clone(&engine);
-                connections.push(std::thread::spawn(move || {
-                    // Peer errors end that connection, not the daemon.
-                    let _ = serve_connection(&engine, stream);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                let _ = std::fs::remove_file(path);
-                return Err(e);
-            }
+    // Each live connection's thread, plus a handle to shut its reads down.
+    let mut connections: Vec<(UnixStream, JoinHandle<()>)> = Vec::new();
+    let result = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _addr)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => break Err(e),
+        };
+        if engine.is_draining() {
+            break Ok(());
         }
-        connections.retain(|c| !c.is_finished());
+        connections.retain(|(_, thread)| !thread.is_finished());
+        let Ok(handle) = stream.try_clone() else {
+            continue; // out of descriptors: drop this connection, keep serving
+        };
+        let engine = Arc::clone(&engine);
+        let wake = path.to_path_buf();
+        let thread = std::thread::spawn(move || {
+            // Peer errors end that connection, not the daemon.
+            let _ = serve_connection(&engine, &stream);
+            // The accept loop's handle keeps the socket open: hang up
+            // explicitly so the peer sees EOF now.
+            let _ = stream.shutdown(Shutdown::Both);
+            if engine.is_draining() {
+                // Wake the accept loop so it notices the drain.
+                let _ = UnixStream::connect(&wake);
+            }
+        });
+        connections.push((handle, thread));
+    };
+    // Closing the listener fails any further self-connect at once.
+    drop(listener);
+    for (handle, _) in &connections {
+        let _ = handle.shutdown(Shutdown::Read);
     }
-    for c in connections {
-        let _ = c.join();
+    for (_, thread) in connections {
+        let _ = thread.join();
     }
     let _ = std::fs::remove_file(path);
-    Ok(())
+    result
 }
 
-/// Serves one connection: frames in, frames out, until clean EOF or drain.
-///
-/// The connection holds one sticky [`ServeEngine::requester`] for its whole
-/// lifetime, so every frame it serves reuses the same reply channels — no
-/// per-request allocation — and single-shard `access_batch` frames take the
-/// direct path to their shard.
-///
-/// The reader polls with [`ACCEPT_POLL`] while idle so a connection a peer
-/// holds open without sending (or the drain requester's own connection)
-/// cannot block the daemon's post-drain join forever.
-fn serve_connection(engine: &ServeEngine, stream: UnixStream) -> io::Result<()> {
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
+/// Serves one connection: frames in, frames out, until clean EOF or until
+/// the engine starts draining (the reply that started it is written first).
+fn serve_connection(engine: &ServeEngine, mut stream: &UnixStream) -> io::Result<()> {
     let mut requester = engine.requester();
-    reader.set_read_timeout(Some(ACCEPT_POLL))?;
-    while let Some(payload) = read_frame_or_drain(engine, &mut reader)? {
+    while let Some(payload) = read_frame(&mut stream)? {
         let response = match Request::decode(&payload) {
             Ok(request) => requester.request(request),
             Err(e) => Response::Error(e.to_string()),
         };
-        write_frame(&mut writer, &response.encode())?;
-    }
-    Ok(())
-}
-
-/// Reads one frame from a timeout-armed stream, returning `Ok(None)` on
-/// clean EOF or when the engine starts draining while the connection is
-/// idle (no header byte in flight).
-///
-/// The 4-byte header is accumulated across timeouts so a poll expiring
-/// mid-header loses nothing; once the header is complete the stream
-/// switches to blocking for the payload (the peer has committed to a
-/// frame), then re-arms the timeout for the next idle wait.
-fn read_frame_or_drain(
-    engine: &ServeEngine,
-    stream: &mut UnixStream,
-) -> io::Result<Option<Vec<u8>>> {
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    while got < header.len() {
-        match stream.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame-header",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if got == 0 && engine.is_draining() {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        write_frame(&mut stream, &response.encode())?;
+        if engine.is_draining() {
+            break;
         }
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"),
-        ));
-    }
-    stream.set_read_timeout(None)?;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    stream.set_read_timeout(Some(ACCEPT_POLL))?;
-    Ok(Some(payload))
+    Ok(())
 }
 
 /// A blocking client for the daemon's Unix socket.

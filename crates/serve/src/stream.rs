@@ -175,9 +175,8 @@ impl StreamSession {
     /// [`PathfinderPrefetcher::on_access_run`], which collects each
     /// contiguous duty-cycled-off stretch's cache-missing pixel matrices up
     /// front and presents them as lockstep lanes of one
-    /// `present_frozen_batch` call — so the inference work PR 9's burst
-    /// drain already groups per stream now shares one pass over the weight
-    /// matrix. The result is bit-identical to calling
+    /// `present_frozen_batch` call — so a stream's frozen queries within
+    /// one frame share one pass over the weight matrix. The result is bit-identical to calling
     /// [`StreamSession::access`] once per record: batching changes when the
     /// frozen kernel runs, not what it computes.
     pub fn access_run(&mut self, recs: &[AccessRecord]) -> (Vec<Vec<Block>>, u64) {

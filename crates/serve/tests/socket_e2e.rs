@@ -327,3 +327,119 @@ fn batch_frames_cross_shards_and_bad_batches_are_rejected() {
     };
     daemon.join().unwrap().expect("clean exit");
 }
+
+#[test]
+#[cfg_attr(
+    not(feature = "telemetry"),
+    ignore = "serve.* and snn.* counters need the telemetry feature (on in workspace builds)"
+)]
+fn status_reports_work_served_on_a_connection_that_has_closed() {
+    use pathfinder_telemetry::json;
+
+    const RECORDS: u64 = 300;
+    let path = socket_path("telemetry");
+    let engine = Arc::new(ServeEngine::new(2));
+    let daemon = {
+        let engine = Arc::clone(&engine);
+        let path = path.clone();
+        std::thread::spawn(move || serve_unix(engine, &path))
+    };
+
+    // Connection A: duty-cycle learning off after 50 accesses, so the
+    // batch's tail runs frozen queries through the batched kernel; then A
+    // closes, ending the thread that served it.
+    {
+        let mut a =
+            UnixClient::connect_with_retry(&path, Duration::from_secs(10)).expect("connect A");
+        let resp = a
+            .request(&Request::Configure(pathfinder_serve::ConfigDelta {
+                duty: Some((50, 5000)),
+                ..Default::default()
+            }))
+            .expect("configure");
+        assert_eq!(resp, Response::Ok);
+        let accesses: Vec<(u64, AccessRecord)> = (0..RECORDS)
+            .map(|i| {
+                (
+                    3,
+                    AccessRecord {
+                        instr_id: i * 3,
+                        pc: 0x400 + (i % 4) * 8,
+                        vaddr: i * 64 + if i % 17 == 0 { 4096 } else { 0 },
+                        depends_on_prev: i % 5 == 0,
+                    },
+                )
+            })
+            .collect();
+        let resp = a
+            .request(&Request::AccessBatch { accesses })
+            .expect("access_batch");
+        assert!(matches!(resp, Response::PrefetchBatch(_)));
+    }
+
+    let mut b = UnixClient::connect_with_retry(&path, Duration::from_secs(10)).expect("connect B");
+    let Response::Status(status) = b
+        .request(&Request::Status { stream: None })
+        .expect("status")
+    else {
+        panic!("daemon status failed")
+    };
+    let doc = json::parse(&status.telemetry_json).expect("status telemetry JSON");
+    let counter = |name: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(json::Value::as_f64)
+            .unwrap_or(0.0)
+    };
+    assert_eq!(counter("serve.accesses"), RECORDS as f64);
+    assert!(
+        counter("snn.frozen.batch.calls") > 0.0,
+        "{}",
+        status.telemetry_json
+    );
+
+    let Response::Drained(_) = b.request(&Request::Drain { stream: None }).expect("drain") else {
+        panic!("drain failed")
+    };
+    daemon.join().unwrap().expect("clean exit");
+}
+
+#[test]
+fn an_idle_connection_does_not_hold_the_daemon_open_after_a_drain() {
+    let path = socket_path("idle");
+    let engine = Arc::new(ServeEngine::new(2));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let daemon = {
+        let engine = Arc::clone(&engine);
+        let path = path.clone();
+        std::thread::spawn(move || {
+            let result = serve_unix(engine, &path);
+            let _ = done_tx.send(());
+            result
+        })
+    };
+
+    // The idle connection is served once, so the daemon has surely
+    // accepted it, then left open without another frame.
+    let mut idle =
+        UnixClient::connect_with_retry(&path, Duration::from_secs(10)).expect("connect idle");
+    let resp = idle
+        .request(&Request::Status { stream: None })
+        .expect("status");
+    assert!(matches!(resp, Response::Status(_)));
+
+    let mut drainer =
+        UnixClient::connect_with_retry(&path, Duration::from_secs(10)).expect("connect drainer");
+    let resp = drainer
+        .request(&Request::Drain { stream: None })
+        .expect("drain");
+    assert!(matches!(resp, Response::Drained(_)));
+
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_unix returns while a connection idles");
+    daemon.join().unwrap().expect("clean exit");
+    assert!(!path.exists(), "socket file removed on clean shutdown");
+    // The idle peer sees the daemon hang up.
+    assert!(idle.request(&Request::Status { stream: None }).is_err());
+}

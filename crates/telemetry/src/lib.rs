@@ -24,7 +24,10 @@
 //! an always-present per-thread [`MemoryRecorder`]; [`capture`] pushes a
 //! fresh one for the duration of a closure and returns its [`Snapshot`],
 //! which is how the harness scopes metrics to a single prefetcher run even
-//! when workloads evaluate on parallel threads.
+//! when workloads evaluate on parallel threads. [`record_into`] installs a
+//! caller-owned [`MemoryRecorder`] instead, so a long-lived owner — a serve
+//! daemon lock stripe — accumulates what many short scopes record, on
+//! whichever threads they run.
 //!
 //! ## Zero cost when disabled
 //!
@@ -128,6 +131,27 @@ mod active {
         let out = f();
         drop(guard);
         (out, rec.snapshot())
+    }
+
+    pub(super) fn record_into<T>(rec: &MemoryRecorder, f: impl FnOnce() -> T) -> T {
+        // The stack owns its recorders, so the caller's state moves into a
+        // stacked recorder for the scope and moves back when it ends, even
+        // on unwind.
+        struct Restore<'a> {
+            rec: &'a MemoryRecorder,
+            scoped: Rc<MemoryRecorder>,
+        }
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                pop();
+                self.rec.swap(&self.scoped);
+            }
+        }
+        let scoped = Rc::new(MemoryRecorder::new());
+        scoped.swap(rec);
+        push(scoped.clone());
+        let _restore = Restore { rec, scoped };
+        f()
     }
 
     pub(super) fn snapshot_ambient() -> Snapshot {
@@ -242,6 +266,25 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Snapshot) {
     #[cfg(not(feature = "enabled"))]
     {
         (f(), Snapshot::default())
+    }
+}
+
+/// Runs `f` with the caller-owned `rec` as the current thread's recorder,
+/// so everything `f` records lands in `rec`. Unlike [`capture`] this builds
+/// no [`Snapshot`]: a recorder that outlives many short scopes (one per
+/// served request, say) accumulates across them and is read only when
+/// someone asks.
+///
+/// With telemetry disabled the closure runs and `rec` stays empty.
+pub fn record_into<T>(rec: &MemoryRecorder, f: impl FnOnce() -> T) -> T {
+    #[cfg(feature = "enabled")]
+    {
+        active::record_into(rec, f)
+    }
+    #[cfg(not(feature = "enabled"))]
+    {
+        let _ = rec;
+        f()
     }
 }
 
@@ -367,6 +410,36 @@ mod tests {
         let ((), snap) = capture(|| counter!("b", 7));
         assert_eq!(snap.counter("b"), 7);
         assert_eq!(snap.counter("a"), 0);
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn record_into_accumulates_in_the_callers_recorder() {
+        let rec = MemoryRecorder::new();
+        let ((), outer) = capture(|| {
+            for _ in 0..2 {
+                let v = record_into(&rec, || {
+                    counter!("scoped", 3);
+                    7
+                });
+                assert_eq!(v, 7);
+            }
+            counter!("outside", 1);
+        });
+        assert_eq!(rec.snapshot().counter("scoped"), 6);
+        assert_eq!(rec.snapshot().counter("outside"), 0);
+        assert_eq!(outer.counter("scoped"), 0, "scoped events stay out");
+        assert_eq!(outer.counter("outside"), 1);
+
+        // A panic inside the scope still hands the state back.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            record_into(&rec, || {
+                counter!("scoped", 1);
+                panic!("boom");
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(rec.snapshot().counter("scoped"), 7);
     }
 
     #[cfg(feature = "enabled")]

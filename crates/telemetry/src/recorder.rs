@@ -72,6 +72,33 @@ impl MemoryRecorder {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Folds `other`'s aggregates into this recorder: counters and timers
+    /// add, histograms merge, and `other`'s gauges overwrite these.
+    pub fn merge(&self, other: &MemoryRecorder) {
+        let other = other.store.borrow();
+        let mut store = self.store.borrow_mut();
+        for (&name, &v) in &other.counters {
+            *store.counters.entry(name).or_insert(0) += v;
+        }
+        for (&name, &v) in &other.gauges {
+            store.gauges.insert(name, v);
+        }
+        for (&name, h) in &other.histograms {
+            store.histograms.entry(name).or_default().merge(h);
+        }
+        for (&name, t) in &other.timers {
+            let mine = store.timers.entry(name).or_default();
+            mine.count += t.count;
+            mine.total_ns = mine.total_ns.saturating_add(t.total_ns);
+        }
+    }
+
+    /// Exchanges the recorded state of two recorders.
+    #[cfg(feature = "enabled")]
+    pub(crate) fn swap(&self, other: &MemoryRecorder) {
+        self.store.swap(&other.store);
+    }
 }
 
 impl Recorder for MemoryRecorder {
@@ -164,6 +191,28 @@ mod tests {
         assert_eq!((t.count, t.total_ns), (2, 150));
         r.reset();
         assert!(r.snapshot().is_empty());
+    }
+
+    #[test]
+    fn merge_adds_counters_timers_and_histograms() {
+        let a = MemoryRecorder::new();
+        a.counter_add("c", 2);
+        a.histogram_record("h", 4);
+        a.timer_add_ns("t", 10);
+        let b = MemoryRecorder::new();
+        b.counter_add("c", 3);
+        b.counter_add("only_b", 1);
+        b.histogram_record("h", 8);
+        b.timer_add_ns("t", 5);
+        b.gauge_set("g", 2.0);
+        a.merge(&b);
+        let snap = a.snapshot();
+        assert_eq!(snap.counter("c"), 5);
+        assert_eq!(snap.counter("only_b"), 1);
+        assert_eq!(snap.histogram("h").map(|h| (h.count, h.sum)), Some((2, 12)));
+        let t = snap.timer("t").unwrap();
+        assert_eq!((t.count, t.total_ns), (2, 15));
+        assert_eq!(snap.gauge("g"), Some(2.0));
     }
 
     #[test]

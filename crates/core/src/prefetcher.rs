@@ -139,12 +139,12 @@ impl PathfinderPrefetcher {
     /// `prepared` carries results pre-computed by a batched frozen pass
     /// ([`PathfinderPrefetcher::on_access_run`]): on a cache miss with the
     /// full-interval readout, a prepared digest is consumed instead of
-    /// running the kernel inline. Because the packed matrix key determines
-    /// the rate vector exactly (the encoding is collision-free within one
-    /// configuration — pinned by the `encode_key` proptests) and prepared
-    /// digests are only consulted at the weight version they were computed
-    /// at, a prepared result is bit-identical to what the inline kernel
-    /// would have produced.
+    /// running the query inline as a one-lane batch. Because the packed
+    /// matrix key determines the rate vector exactly (the encoding is
+    /// collision-free within one configuration — pinned by the
+    /// `encode_key` proptests) and prepared digests are only consulted at
+    /// the weight version they were computed at, a prepared result is
+    /// bit-identical to what the inline query would have produced.
     fn query_prepared(
         &mut self,
         rates: &[f32],
@@ -181,7 +181,9 @@ impl PathfinderPrefetcher {
                 let fresh = match readout {
                     Readout::FullInterval => match prepared.and_then(|m| m.get(&key)) {
                         Some(batched) => batched.clone(),
-                        None => Self::digest_outcome(self.network.present_frozen(rates)),
+                        None => Self::digest_outcome(
+                            self.network.present_frozen_batch(&[rates]).remove(0),
+                        ),
                     },
                     // The 1-tick readout without learning is already a pure,
                     // RNG-free function of the weights and thresholds.
@@ -276,8 +278,8 @@ impl PathfinderPrefetcher {
     /// matrices as lockstep lanes, and then replays the segment with the
     /// lane digests pre-staged. Planning is best-effort: an access whose
     /// realized key differs from the plan (e.g. a training-table eviction
-    /// between plan and replay) simply misses the prepared map and falls
-    /// back to the inline kernel.
+    /// between plan and replay) simply misses the prepared map and runs
+    /// inline as a one-lane batch.
     pub fn on_access_run(&mut self, accesses: &[MemoryAccess]) -> Vec<Vec<Block>> {
         let mut out = Vec::with_capacity(accesses.len());
         let duty = self.config.stdp_duty;
@@ -311,10 +313,12 @@ impl PathfinderPrefetcher {
     ///
     /// The plan replays the key-affecting slice of [`Prefetcher::on_access`]
     /// — same-block filtering, [`TrainingTable::record_offset`]'s delta
-    /// bookkeeping, and the §3.4 encoding branch — against private
-    /// snapshots of each (PC, page) stream's training entry, so nothing
-    /// observable mutates before the real replay. Returns `None` when fewer
-    /// than two lanes would compute (a singleton batch saves nothing).
+    /// bookkeeping, and the §3.4 encoding branch
+    /// ([`PathfinderPrefetcher::encode_query`]) — against private snapshots
+    /// of each (PC, page) stream's training entry, so nothing observable
+    /// mutates before the real replay. Returns `None` when fewer than two
+    /// lanes would compute: a lone miss runs inline as a one-lane batch
+    /// anyway, and only misses that share a call count as grouped.
     fn prepare_frozen_segment(
         &mut self,
         segment: &[MemoryAccess],
@@ -363,24 +367,7 @@ impl PathfinderPrefetcher {
                     e.deltas.remove(0);
                 }
             }
-            let (rates, key) = if e.deltas.len() >= self.config.history {
-                (
-                    self.encoder.encode(&e.deltas),
-                    self.encoder.encode_key(&e.deltas),
-                )
-            } else if self.config.initial_access_encoding {
-                if e.touches == 1 {
-                    (
-                        self.encoder.encode_initial(Some(offset), &[]),
-                        self.encoder.encode_initial_key(Some(offset), &[]),
-                    )
-                } else {
-                    (
-                        self.encoder.encode_initial(None, &e.deltas),
-                        self.encoder.encode_initial_key(None, &e.deltas),
-                    )
-                }
-            } else {
+            let Some((rates, key)) = self.encode_query(&e.deltas, e.touches, offset) else {
                 // Basic design: this access records history but won't query.
                 continue;
             };
@@ -410,6 +397,32 @@ impl PathfinderPrefetcher {
             prepared.insert(keys[k], Self::digest_outcome(outcome));
         }
         Some(prepared)
+    }
+
+    /// The §3.4 encoding branch: the rate matrix and packed key for a
+    /// stream whose training entry holds `deltas` after `touches` touches,
+    /// the latest at `offset`. Full history encodes the deltas; with the
+    /// initial-access extension a shorter history encodes the first offset
+    /// or the partial deltas; the basic design returns `None` (no query
+    /// until `history` deltas are known).
+    fn encode_query(&self, deltas: &[i16], touches: u64, offset: u8) -> Option<(Vec<f32>, u64)> {
+        let enc = &self.encoder;
+        if deltas.len() >= self.config.history {
+            Some((enc.encode(deltas), enc.encode_key(deltas)))
+        } else if !self.config.initial_access_encoding {
+            None
+        } else if touches == 1 {
+            // §3.4 "Initial Accesses to a Page".
+            Some((
+                enc.encode_initial(Some(offset), &[]),
+                enc.encode_initial_key(Some(offset), &[]),
+            ))
+        } else {
+            Some((
+                enc.encode_initial(None, deltas),
+                enc.encode_initial_key(None, deltas),
+            ))
+        }
     }
 
     /// The [`Prefetcher::on_access`] body, with optionally pre-staged
@@ -470,27 +483,7 @@ impl PathfinderPrefetcher {
 
         // (3) Encode the current history and query the SNN.
         let entry = self.training.peek(pc, page.0).expect("entry just touched");
-        let touches = entry.touches;
-        let deltas = entry.deltas.clone();
-        let (rates, key) = if deltas.len() >= self.config.history {
-            (
-                self.encoder.encode(&deltas),
-                self.encoder.encode_key(&deltas),
-            )
-        } else if self.config.initial_access_encoding {
-            // §3.4 "Initial Accesses to a Page".
-            if touches == 1 {
-                (
-                    self.encoder.encode_initial(Some(offset), &[]),
-                    self.encoder.encode_initial_key(Some(offset), &[]),
-                )
-            } else {
-                (
-                    self.encoder.encode_initial(None, &deltas),
-                    self.encoder.encode_initial_key(None, &deltas),
-                )
-            }
-        } else {
+        let Some((rates, key)) = self.encode_query(&entry.deltas, entry.touches, offset) else {
             // Basic design: wait for H deltas before querying.
             let e = self.training.touch(pc, page.0);
             e.fired = None;
@@ -787,6 +780,14 @@ mod tests {
         // Chunk size 37 puts phase boundaries mid-chunk, so runs mix
         // learning and frozen segments.
         assert_run_matches_sequential(duty_cfg(1024), 37);
+        // With 2 training entries and 28 (PC, page) streams, replay evicts
+        // entries the plan assumed were live, so realized keys miss a
+        // prepared map that is present and run inline as one-lane batches.
+        let evicting = PathfinderConfig {
+            training_table_entries: 2,
+            ..duty_cfg(1024)
+        };
+        assert_run_matches_sequential(evicting, 37);
     }
 
     #[test]

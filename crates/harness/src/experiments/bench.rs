@@ -4,7 +4,7 @@
 //! cares about (SNN presentation 32-tick event-driven vs the retained
 //! reference kernel, the SIMD-dispatched vs forced-scalar tier pair
 //! (`snn.present32.simd` / `snn.present32.scalar`), the frozen-weight
-//! inference kernel and its cross-query batched counterpart
+//! inference kernel one query per call and 8 or 32 lanes per call
 //! (`snn.present32.frozen_batch{8,32}` vs `snn.present32.frozen_singleton32`,
 //! bit-identical lane outcomes), the 1-tick readout, pixel encoding, per-prefetcher
 //! per-access cost, the duty-cycled cached vs always-on steady-state
@@ -29,10 +29,10 @@
 //! [`compare_to_baseline`]. CI's `perf-smoke` job runs exactly this (see
 //! `.github/workflows/ci.yml` and EXPERIMENTS.md § "Benchmark gate").
 //!
-//! This is deliberately *not* Criterion: the vendored Criterion stub under
-//! `vendor/` drives the `cargo bench` suites for local exploration, while
-//! this module produces a small, stable, machine-readable document the CI
-//! gate and the perf trajectory in git history consume.
+//! The module produces a small, stable, machine-readable document that the
+//! CI gate and the perf trajectory in git history consume. End-to-end
+//! serving figures come from `servebench` (see `servebench/README.md`),
+//! which drives the daemon through its socket.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -122,9 +122,9 @@ pub struct BenchReport {
     /// `kernel_tier`.
     pub sim_simd_speedup: f64,
     /// Paired-median speedup of one 32-lane `present_frozen_batch` call
-    /// over 32 singleton `present_frozen` calls on an identically trained
-    /// twin network (the PR-10 acceptance figure; target ≥ 1.3x). Both
-    /// sides produce bit-identical lane outcomes.
+    /// over 32 one-lane `present_frozen_batch` calls on an identically
+    /// trained twin network (the PR-10 acceptance figure; target ≥ 1.3x).
+    /// Both sides produce bit-identical lane outcomes.
     pub frozen_batch_speedup: f64,
     /// The kernel tier this run's SNN suites dispatched to (`"avx2"` or
     /// `"scalar"`), from `pathfinder_snn::active_tier`.
@@ -281,24 +281,26 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
 
     // The frozen-weight inference kernel (PR 4): a few training rounds
     // first so the measured presentation reflects realistic spiking, then
-    // pure frozen queries (no STDP, no traces, weight version fixed).
+    // pure frozen queries (no STDP, no traces, weight version fixed), each
+    // a one-lane batch.
     let mut frozen_net = DiehlCookNetwork::new(cfg.snn_config(), opts.seed).unwrap();
     for _ in 0..8 {
         frozen_net.present(&rates, true);
     }
     suites.push(measure("snn.present32.frozen", 25, 1, || {
-        black_box(frozen_net.present_frozen(black_box(&rates)));
+        black_box(frozen_net.present_frozen_batch(black_box(&[&rates])));
     }));
 
     // Cross-query batched frozen inference (PR 10): 32 distinct delta
     // histories encoded as 32 pixel matrices, presented as lockstep lanes
-    // of one `present_frozen_batch` call against 32 singleton
-    // `present_frozen` calls on a same-seeded, identically trained twin.
+    // of one `present_frozen_batch` call against 32 one-lane
+    // `present_frozen_batch` calls on a same-seeded, identically trained
+    // twin. The singleton cell keeps its name for baseline continuity.
     // Lane results are bit-identical across the two sides (pinned by
     // snn/tests/frozen_batch_equivalence.rs), so the paired ratio isolates
     // the shared weight-row gathers and query-dimension vectorization.
     // ops = lanes, so per-op figures stay per query and comparable with
-    // the singleton cell above.
+    // the one-lane cell above.
     let batch_rates: Vec<Vec<f32>> = (0..32)
         .map(|i| encoder.encode(&[1 + (i % 5) as i16, 2 + (i % 7) as i16, 3 + (i % 11) as i16]))
         .collect();
@@ -319,7 +321,7 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         },
         || {
             for r in &batch_rates {
-                black_box(single_net.present_frozen(black_box(r)));
+                black_box(single_net.present_frozen_batch(black_box(&[r])));
             }
         },
     );
@@ -750,7 +752,7 @@ impl BenchReport {
             self.serve_batch_speedup
         ));
         out.push_str(&format!(
-            "Frozen inference: one 32-lane batched presentation is {:.2}x 32 singleton queries\n",
+            "Frozen inference: one 32-lane batched presentation is {:.2}x 32 one-lane batches\n",
             self.frozen_batch_speedup
         ));
         out

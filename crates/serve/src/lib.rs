@@ -38,7 +38,7 @@
 //! The non-negotiable invariant, pinned by tests in this crate and enforced
 //! in CI by the `service-smoke` job: **any single stream driven through the
 //! daemon produces bit-identical prefetch schedules, replay reports, and
-//! stats to a batch run of the same trace.** [`StreamSession::access`]
+//! stats to a batch run of the same trace.** [`StreamSession::access_run`]
 //! replicates `generate_prefetches`' per-access loop exactly, and PATHFINDER
 //! learns online (`prepare` is a no-op), so incremental serving is the same
 //! computation as batch generation. Per-stream prefetcher seeds derive as

@@ -12,7 +12,6 @@
 //! reports are bit-identical across the service boundary.
 
 use pathfinder_core::{PathfinderConfig, PathfinderPrefetcher, PathfinderStats};
-use pathfinder_prefetch::Prefetcher;
 use pathfinder_sim::{
     Block, MemoryAccess, PrefetchRequest, SimConfig, SimReport, Simulator, Trace,
 };
@@ -156,29 +155,23 @@ impl StreamSession {
         seen
     }
 
-    /// Ingests one demand load and returns the prefetch blocks issued for
-    /// it — the exact per-access body of `generate_prefetches`, applied
-    /// incrementally.
-    pub fn access(&mut self, rec: AccessRecord) -> Vec<Block> {
-        let access = Self::to_access(rec);
-        let blocks = self.prefetcher.on_access(&access);
-        self.issue(access, blocks)
-    }
-
     /// Ingests a run of demand loads back-to-back and returns the blocks
     /// issued for each, in input order, plus the number of frozen SNN
     /// inferences the run executed (`snn_cache_misses` delta — every
     /// duty-cycled-off query that missed the memoization cache counts,
-    /// whether it ran as a batched lane or inline).
+    /// whether it ran as a lane of a shared batch or inline as a one-lane
+    /// batch). A single access is a one-record run.
     ///
-    /// The run routes through
+    /// Each access gets exactly the per-access body of
+    /// `generate_prefetches` — dedup, `max_degree` truncation, schedule and
+    /// trace bookkeeping. The prefetcher work routes through
     /// [`PathfinderPrefetcher::on_access_run`], which collects each
     /// contiguous duty-cycled-off stretch's cache-missing pixel matrices up
     /// front and presents them as lockstep lanes of one
-    /// `present_frozen_batch` call — so a stream's frozen queries within
-    /// one frame share one pass over the weight matrix. The result is bit-identical to calling
-    /// [`StreamSession::access`] once per record: batching changes when the
-    /// frozen kernel runs, not what it computes.
+    /// `present_frozen_batch` call, so a stream's frozen queries within one
+    /// frame share one pass over the weight matrix. The result is
+    /// bit-identical to calling `on_access` once per record: batching
+    /// changes when the frozen kernel runs, not what it computes.
     pub fn access_run(&mut self, recs: &[AccessRecord]) -> (Vec<Vec<Block>>, u64) {
         let misses_before = self.prefetcher.stats().snn_cache_misses;
         let accesses: Vec<MemoryAccess> = recs.iter().map(|&rec| Self::to_access(rec)).collect();
@@ -239,8 +232,8 @@ mod tests {
         let records = synthetic(400);
 
         let mut session = StreamSession::new(9, &template).unwrap();
-        for &r in &records {
-            session.access(r);
+        for r in &records {
+            session.access_run(std::slice::from_ref(r));
         }
         let drained = session.drain();
 
@@ -281,7 +274,10 @@ mod tests {
         let records = synthetic(600);
 
         let mut one_at_a_time = StreamSession::new(3, &template).unwrap();
-        let singles: Vec<Vec<Block>> = records.iter().map(|&r| one_at_a_time.access(r)).collect();
+        let singles: Vec<Vec<Block>> = records
+            .iter()
+            .flat_map(|r| one_at_a_time.access_run(std::slice::from_ref(r)).0)
+            .collect();
 
         let mut grouped = StreamSession::new(3, &template).unwrap();
         let mut runs = Vec::new();

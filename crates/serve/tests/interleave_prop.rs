@@ -1,8 +1,8 @@
-//! Property test for concurrent shard scheduling: interleaving K streams'
-//! accesses in *any* order through the pool — as one-shot `access` calls,
-//! sticky-requester `access` calls, or cross-stream `access_batch` frames —
-//! yields per-stream results identical to each stream replayed sequentially
-//! on its own.
+//! Property test for serving under lock stripes: interleaving K streams'
+//! accesses in *any* order through the engine — as one-shot `access` calls,
+//! `access` calls on one long-lived requester, or cross-stream
+//! `access_batch` frames — yields per-stream results identical to each
+//! stream replayed sequentially on its own.
 //!
 //! Per the ROADMAP's stub-rand constraint this is seed-robust by
 //! construction: it asserts on schedules, reports, and stats equality —
@@ -31,8 +31,9 @@ fn pattern(s: u64) -> Vec<AccessRecord> {
         .collect()
 }
 
-/// The sequential baseline: each stream alone through its own session.
-/// Interleaving-independent, so it is computed once across all cases.
+/// The sequential baseline: each stream alone through its own session, one
+/// record per `access_run`. Interleaving-independent, so it is computed
+/// once across all cases.
 fn sequential(template: &StreamTemplate) -> &'static [DrainedStream] {
     static EXPECTED: std::sync::OnceLock<Vec<DrainedStream>> = std::sync::OnceLock::new();
     EXPECTED.get_or_init(|| {
@@ -40,7 +41,7 @@ fn sequential(template: &StreamTemplate) -> &'static [DrainedStream] {
             .map(|s| {
                 let mut session = StreamSession::new(s, template).expect("valid template");
                 for rec in pattern(s) {
-                    session.access(rec);
+                    session.access_run(std::slice::from_ref(&rec));
                 }
                 session.drain()
             })
@@ -50,8 +51,8 @@ fn sequential(template: &StreamTemplate) -> &'static [DrainedStream] {
 
 /// Decodes proptest draws into an interleaving: at each step, the draw
 /// picks which still-unfinished stream(s) advance, and over which verb
-/// shape — a one-shot `access` (fresh reply channels), an `access` on the
-/// long-lived sticky requester, or a cross-stream `access_batch` frame of
+/// shape — a one-shot `access` through `ServeEngine::request`, an `access`
+/// on one long-lived requester, or a cross-stream `access_batch` frame of
 /// up to 5 records.
 fn drive_interleaved(engine: &ServeEngine, picks: &[u64]) {
     let patterns: Vec<Vec<AccessRecord>> = (0..STREAMS as u64).map(pattern).collect();

@@ -3,7 +3,7 @@
 //! reports, and prefetcher stats to a batch run of the same trace.
 //!
 //! Streams here carry real Table-5 trace prefixes and are deliberately
-//! interleaved round-robin through a multi-shard engine, so the test also
+//! interleaved round-robin through a multi-stripe engine, so the test also
 //! pins cross-stream isolation: a neighbor stream on the same daemon must
 //! not perturb anyone else's schedule. Runs under whatever kernel tier the
 //! environment selects (CI repeats it with `PATHFINDER_FORCE_SCALAR=1`);
@@ -121,8 +121,8 @@ fn batched_and_sticky_traffic_matches_batch_runs_bit_for_bit() {
     let mut sticky = engine.requester();
 
     // Alternate cross-stream `access_batch` frames (up to 7 records per
-    // live stream, slots in stream order) with singleton bursts on the
-    // sticky requester, until every trace is consumed.
+    // live stream, slots in stream order) with singleton bursts on one
+    // long-lived requester, until every trace is consumed.
     let mut cursors = vec![0usize; traces.len()];
     let mut round = 0usize;
     loop {
@@ -202,8 +202,8 @@ fn per_stream_drain_matches_batch_too() {
     let trace = Workload::Bfs10.generate(1_000, 7);
     let engine = ServeEngine::with_template(template.clone(), 2);
 
-    // Same stream id on both sides; a second noisy stream shares the shard
-    // space (id 3 lands on shard 1 with id 1 under 2 shards).
+    // Same stream id on both sides; a second noisy stream shares the lock
+    // stripe (id 3 lands on stripe 1 with id 1 under 2 stripes).
     for a in trace.iter() {
         engine.request(Request::Access {
             stream: 1,

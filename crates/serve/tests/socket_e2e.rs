@@ -60,8 +60,9 @@ fn concurrent_clients_over_a_unix_socket_with_clean_drain() {
                         .expect("access round trip");
                     assert!(matches!(resp, Response::Prefetches(_)));
                 }
-                // Stream-local frames: all records map to one shard, so
-                // the daemon side takes the sticky direct path.
+                // Stream-local frames: all records belong to one stream, so
+                // the daemon runs each frame as one group under one stripe
+                // lock.
                 for chunk in batched.chunks(32) {
                     let resp = client
                         .request(&Request::AccessBatch {
@@ -225,8 +226,8 @@ fn batch_frames_cross_shards_and_bad_batches_are_rejected() {
     };
 
     // A cross-stream batch frame over the wire: streams 0 and 1 land on
-    // different shards, so this exercises the scatter/gather path
-    // end-to-end and the per-slot reply ordering.
+    // different lock stripes, so this exercises per-stream grouping of
+    // the frame's records end-to-end and the per-slot reply ordering.
     let mut client =
         UnixClient::connect_with_retry(&path, Duration::from_secs(10)).expect("connect");
     let accesses: Vec<(u64, pathfinder_serve::AccessRecord)> = (0..64u64)

@@ -21,7 +21,7 @@
 //! This module is *not* a second implementation to maintain feature-parity
 //! with: it exists to (a) pin the semantics of the flat engine and (b)
 //! serve as the "before" measurement in `repro bench` (the
-//! `sim.replay.e2e.reference` suite) and the `sim_replay` Criterion group.
+//! `sim.replay.e2e.reference` suite).
 
 use std::collections::BinaryHeap;
 

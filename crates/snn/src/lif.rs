@@ -179,25 +179,6 @@ impl LifLayer {
         self.refrac.fill(0);
     }
 
-    /// Copies the adaptive thresholds into `out` (cleared and resized).
-    /// Paired with [`LifLayer::restore_thetas`] by frozen-weight inference
-    /// kernels that must leave persistent state untouched.
-    pub fn save_thetas_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend_from_slice(&self.theta);
-    }
-
-    /// Restores thresholds previously captured with
-    /// [`LifLayer::save_thetas_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `saved.len()` differs from the population size.
-    pub fn restore_thetas(&mut self, saved: &[f32]) {
-        assert_eq!(saved.len(), self.theta.len(), "theta snapshot length");
-        self.theta.copy_from_slice(saved);
-    }
-
     /// Index of the neuron with the highest effective drive above its
     /// threshold margin, used by the paper's 1-tick approximation:
     /// "the neuron with the highest potential after 1 tick would have been

@@ -71,15 +71,6 @@ pub(crate) struct PresentScratch {
     pub(crate) first_fire: Vec<Option<u32>>,
     /// Distinct firing neurons in first-fire order.
     pub(crate) fired_order: Vec<usize>,
-    /// Inference-repacked weight rows: the active inputs' rows gathered
-    /// into one contiguous matrix (frozen kernel only).
-    pub(crate) packed_weights: Vec<f32>,
-    /// Per-active-input spike probability, hoisted out of the tick loop
-    /// (frozen kernel only).
-    pub(crate) probs: Vec<f32>,
-    /// Theta snapshot taken before a frozen presentation and restored
-    /// after it, so inference leaves no persistent trace.
-    pub(crate) saved_theta: Vec<f32>,
 }
 
 impl PresentScratch {
@@ -97,17 +88,16 @@ impl PresentScratch {
     }
 }
 
-/// Reusable buffers for the cross-query batched frozen kernel
+/// Reusable buffers for the frozen-inference kernel
 /// ([`DiehlCookNetwork::present_frozen_batch`]). All lane state is private
 /// to the batch — the network's excitatory/inhibitory layers are never
-/// touched — so a batch leaves strictly less residue than the singleton
-/// path (which reuses the layers under a theta snapshot/restore).
+/// touched — so a frozen query leaves no residue in the network.
 ///
 /// Every per-neuron buffer is *lane-major* `[lanes × n_exc]`: lane `l`'s
 /// state is the contiguous slice `[l * n_exc .. (l + 1) * n_exc]`, so the
 /// sparse per-lane phases (drive accumulation, injection, lateral
-/// inhibition) run on exactly the singleton's contiguous 50-element
-/// slices and quiet lanes cost nothing, while the dense always-on phases
+/// inhibition) run on one lane's contiguous `n_exc`-element slice and
+/// quiet lanes cost nothing, while the dense always-on phases
 /// (LIF integrate, theta decay) sweep the whole `lanes × n_exc` block in
 /// a single full-width kernel call per tick.
 #[derive(Debug, Clone, Default)]
@@ -200,7 +190,7 @@ pub struct DiehlCookNetwork {
     /// adaptive thresholds). Bumped by every presentation that may mutate
     /// them — STDP, normalization, and theta adaptation all happen inside
     /// such presentations — and left untouched by the pure frozen-inference
-    /// paths ([`DiehlCookNetwork::present_frozen`],
+    /// paths ([`DiehlCookNetwork::present_frozen_batch`],
     /// [`DiehlCookNetwork::present_one_tick`] with `learn == false`).
     pub(crate) weight_version: u64,
     /// Salt mixed into [`DiehlCookNetwork::frozen_query_seed`], derived
@@ -309,7 +299,7 @@ impl DiehlCookNetwork {
     /// Monotonic version of the inference-relevant state (weights plus
     /// adaptive thresholds). Any presentation that may update that state —
     /// STDP weight updates, normalization, theta bumps/decay — increments
-    /// it; the pure inference paths ([`DiehlCookNetwork::present_frozen`]
+    /// it; the pure inference paths ([`DiehlCookNetwork::present_frozen_batch`]
     /// and [`DiehlCookNetwork::present_one_tick`] with `learn == false`)
     /// leave it unchanged. Callers memoizing query results key their cache
     /// validity on this value.
@@ -317,12 +307,12 @@ impl DiehlCookNetwork {
         self.weight_version
     }
 
-    /// The RNG seed a [`DiehlCookNetwork::present_frozen`] call for `rates`
-    /// derives its private spike-sampling stream from: a pure hash of the
-    /// construction-seed salt, the current [`weight_version`], and the
-    /// active pixel intensities. Exposed so equivalence tests can align a
+    /// The seed of the private spike-sampling stream a
+    /// [`DiehlCookNetwork::present_frozen_batch`] lane for `rates` draws
+    /// from: a pure hash of the construction-seed salt, the current
+    /// [`weight_version`], and the active pixel intensities. Exposed so equivalence tests can align a
     /// reference network's generator (via
-    /// [`DiehlCookNetwork::reseed_rng`]) with the frozen kernel's stream.
+    /// [`DiehlCookNetwork::reseed_rng`]) with a frozen lane's stream.
     ///
     /// [`weight_version`]: DiehlCookNetwork::weight_version
     pub fn frozen_query_seed(&self, rates: &[f32]) -> u64 {
@@ -337,8 +327,9 @@ impl DiehlCookNetwork {
 
     /// Replaces the presentation RNG with a freshly seeded one. Only used
     /// by equivalence tests to put a reference network's generator in
-    /// lockstep with the derived per-query stream of
-    /// [`DiehlCookNetwork::present_frozen`]; production paths never reseed.
+    /// lockstep with the derived per-query stream of a
+    /// [`DiehlCookNetwork::present_frozen_batch`] lane; production paths
+    /// never reseed.
     pub fn reseed_rng(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
     }
@@ -799,167 +790,38 @@ impl DiehlCookNetwork {
         winner
     }
 
-    /// Frozen-weight inference: a full `ticks`-long stochastic presentation
-    /// that is a *pure function* of `rates` and the current
-    /// [`weight_version`], so callers can memoize its outcome exactly.
+    /// Frozen-weight inference, the duty-cycled off-phase kernel (§3.5,
+    /// Figure 8): runs N queries as lockstep lanes of one `ticks`-long
+    /// stochastic presentation and returns their outcomes in input order.
+    /// A singleton query is a one-lane batch.
     ///
-    /// Purity is obtained by (a) sampling input spikes from a private
-    /// generator seeded with [`DiehlCookNetwork::frozen_query_seed`]
-    /// instead of consuming the shared presentation RNG, and (b) running
-    /// the intra-interval theta dynamics on a snapshot that is restored
-    /// before returning — a duty-cycled off-phase (§3.5, Figure 8) freezes
-    /// *all* adaptation, thresholds included. No STDP, eligibility-trace,
+    /// Each lane's [`RunOutcome`] is a *pure function* of its query and the
+    /// current [`weight_version`], so callers can memoize it exactly: it
+    /// does not depend on which other queries share the batch, their order,
+    /// or the chunking below, and the batch leaves weights, thetas, and
+    /// `weight_version` untouched. Purity comes from (a) sampling each
+    /// lane's input spikes from a private generator seeded with
+    /// [`DiehlCookNetwork::frozen_query_seed`] instead of the shared
+    /// presentation RNG, and (b) running the intra-interval theta dynamics
+    /// on lane-private copies of the thresholds. No STDP, eligibility-trace,
     /// or normalization bookkeeping runs at all.
     ///
-    /// The kernel also re-packs the weight layout for inference: the active
-    /// inputs' weight rows are gathered once into a contiguous matrix and
-    /// their spike probabilities hoisted out of the tick loop, so each tick
-    /// touches only cache-dense per-active-input column slices.
-    ///
-    /// Spike structure agrees exactly with
-    /// [`DiehlCookNetwork::present_reference`] run with `learn == false`
-    /// from the same weights/theta and an RNG reseeded to the derived
-    /// query seed (pinned by `tests/kernel_equivalence.rs`).
-    ///
-    /// [`weight_version`]: DiehlCookNetwork::weight_version
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates.len() != n_input`.
-    pub fn present_frozen(&mut self, rates: &[f32]) -> RunOutcome {
-        assert_eq!(
-            rates.len(),
-            self.cfg.n_input,
-            "rates length must equal n_input"
-        );
-        self.presentations += 1;
-        let _present_span = telemetry::timer!("snn.present");
-        let mut input_spike_total = 0u64;
-        self.exc.reset_state();
-        self.inh.reset_state();
-
-        let n_exc = self.cfg.n_exc;
-        let mut s = std::mem::take(&mut self.scratch);
-        s.reset(n_exc);
-        let mut first_fire_tick: Option<u32> = None;
-
-        self.encoder.active_inputs(rates, &mut s.active_inputs);
-        self.expected_drive_scores_into(rates, &mut s.drive_scores);
-        let first_tick_argmax = argmax_f32(&s.drive_scores);
-
-        // Inference re-pack: contiguous weight rows and hoisted spike
-        // probabilities for just the active inputs. Row `a` of the packed
-        // matrix is the weight row of active input `a`, so the tick loop
-        // never strides through the full n_input-major matrix.
-        let max_rate = self.encoder.max_rate();
-        s.packed_weights.clear();
-        s.probs.clear();
-        for &i in &s.active_inputs {
-            s.packed_weights
-                .extend_from_slice(&self.weights[i * n_exc..(i + 1) * n_exc]);
-            s.probs.push((rates[i] * max_rate).min(1.0));
-        }
-
-        // Frozen contract: intra-interval theta dynamics run on a snapshot
-        // restored before returning, and spike sampling uses a private
-        // stream derived from the query itself.
-        self.exc.save_thetas_into(&mut s.saved_theta);
-        let mut rng = StdRng::seed_from_u64(self.frozen_query_seed(rates));
-
-        let gain = self.cfg.input_gain;
-        let inh_strength = self.cfg.inh_strength;
-
-        for tick in 0..self.cfg.ticks {
-            // Sample active-input spikes; `input_spikes` holds *active
-            // positions* (indices into the packed matrix), drawn in the
-            // same ascending order — and with the same one-draw-per-active
-            // consumption — as the other kernels.
-            s.input_spikes.clear();
-            for (a, &p) in s.probs.iter().enumerate() {
-                if rng.gen_range(0.0f32..1.0) < p {
-                    s.input_spikes.push(a);
-                }
-            }
-
-            if !s.input_spikes.is_empty() {
-                s.drive.fill(0.0);
-                for &a in &s.input_spikes {
-                    let row = &s.packed_weights[a * n_exc..(a + 1) * n_exc];
-                    accel::add_assign(self.tier, &mut s.drive, row);
-                }
-                self.exc.inject_all(&s.drive, gain);
-            }
-
-            self.exc.step(&mut s.exc_spikes);
-            self.exc.decay_theta_by(self.theta_decay);
-
-            if !s.exc_spikes.is_empty() {
-                self.exc
-                    .inject_uniform(-(s.exc_spikes.len() as f32) * inh_strength);
-                for &j in &s.exc_spikes {
-                    self.exc.inject(j, inh_strength);
-                    self.inh.inject(j, self.cfg.exc_strength);
-                }
-            }
-            self.inh.step(&mut s.inh_spikes);
-
-            for &j in &s.exc_spikes {
-                s.spike_counts[j] += 1;
-                if s.first_fire[j].is_none() {
-                    s.first_fire[j] = Some(tick);
-                    s.fired_order.push(j);
-                }
-                first_fire_tick.get_or_insert(tick);
-                self.exc.bump_theta(j, self.cfg.theta_plus);
-            }
-            if telemetry::enabled() {
-                input_spike_total += s.input_spikes.len() as u64;
-            }
-        }
-
-        let winner = Self::pick_winner(&s.spike_counts, &s.first_fire, &s.drive_scores);
-        let runner_up_potential = self.runner_up_potential(winner);
-
-        // Restore the pre-presentation thresholds: a frozen query leaves no
-        // persistent state behind (weight_version stays put).
-        self.exc.restore_thetas(&s.saved_theta);
-
-        if telemetry::enabled() {
-            telemetry::counter!("snn.presentations", 1);
-            telemetry::counter!("snn.frozen.presentations", 1);
-            telemetry::counter!(
-                "snn.exc.spikes",
-                s.spike_counts.iter().map(|&c| c as u64).sum::<u64>()
-            );
-            telemetry::counter!("snn.input.spikes", input_spike_total);
-        }
-
-        let outcome = RunOutcome {
-            spike_counts: s.spike_counts.clone(),
-            winner,
-            fired: s.fired_order.clone(),
-            first_fire_tick,
-            first_tick_argmax,
-            runner_up_potential,
-        };
-        self.scratch = s;
-        outcome
-    }
-
-    /// Cross-query batched frozen inference: runs N frozen queries in
-    /// lockstep lanes through one tick loop and returns their outcomes in
-    /// input order. Lane `i`'s [`RunOutcome`] is **bit-identical** to a
-    /// singleton `present_frozen(queries[i])` call — and, like the
-    /// singleton, a batch is a pure function of the queries and the
-    /// current [`weight_version`], leaving weights, thetas, and
-    /// `weight_version` untouched.
+    /// Each lane follows the event kernel's tick (the one
+    /// [`DiehlCookNetwork::present`] runs): sampling in ascending active
+    /// order with one draw per active input, drive accumulation in
+    /// ascending input order, injection, LIF step, theta decay, lateral
+    /// inhibition, then firer bookkeeping. Spike structure agrees exactly
+    /// with [`DiehlCookNetwork::present_reference`] and
+    /// [`DiehlCookNetwork::present`] run with `learn == false` from the same
+    /// weights/theta and an RNG reseeded to the derived query seed (pinned
+    /// by `tests/kernel_equivalence.rs`).
     ///
     /// What batching amortizes:
     ///
     /// * **one gather of the weight matrix per tick** — each distinct
     ///   input spiked by any lane loads its weight row once and
     ///   accumulates it into every lane that spiked it (ascending input
-    ///   order per lane, exactly the singleton's accumulation order);
+    ///   order per lane);
     /// * **one full-width LIF kernel call per tick** — membrane
     ///   integrate and theta decay sweep all lanes' contiguous
     ///   `lanes × n_exc` state through single calls into the shared
@@ -971,13 +833,11 @@ impl DiehlCookNetwork {
     ///   path resets it on entry and nothing reads it), so the batch skips
     ///   it entirely.
     ///
-    /// Per-lane bit-identity holds because each lane keeps a private RNG
-    /// seeded from [`DiehlCookNetwork::frozen_query_seed`], private
-    /// theta/membrane/refractory state, and the exact per-element IEEE-754
-    /// op order of the singleton kernel (no FMA, no re-associated
-    /// reductions): every arithmetic op lands on a lane's own contiguous
-    /// slice in the singleton's sequence, and the full-width sweeps are
-    /// elementwise, so batching changes *where* lane state lives, never
+    /// Batching never changes a lane's arithmetic: each lane keeps private
+    /// theta/membrane/refractory state and a fixed per-element IEEE-754 op
+    /// order (no FMA, no re-associated reductions). Every arithmetic op
+    /// lands on the lane's own contiguous slice, and the full-width sweeps
+    /// are elementwise, so batching changes *where* lane state lives, never
     /// what is computed on it.
     ///
     /// Batches larger than 64 lanes are processed in 64-lane chunks (the
@@ -1018,7 +878,7 @@ impl DiehlCookNetwork {
         let nl = n_exc * lanes;
         let mut s = std::mem::take(&mut self.batch_scratch);
 
-        // Per-lane presentation prep, in the singleton's order: active
+        // Per-lane presentation prep, in the event kernel's order: active
         // inputs + hoisted probabilities, expected-drive scores (read
         // against the network's untouched thetas) + first-tick argmax, and
         // the private query-derived RNG stream.
@@ -1044,8 +904,9 @@ impl DiehlCookNetwork {
                 .push(StdRng::seed_from_u64(self.frozen_query_seed(rates)));
         }
 
-        // Private lane-major state. Every lane starts exactly where the
-        // singleton's `reset_state` + theta snapshot would put it.
+        // Private lane-major state. Every lane starts where a presentation's
+        // `reset_state` would put the excitatory layer, with its own copy of
+        // the network's thetas.
         s.v.clear();
         s.v.resize(nl, self.cfg.exc_lif.v_rest);
         s.refrac.clear();
@@ -1088,12 +949,12 @@ impl DiehlCookNetwork {
         for tick in 0..self.cfg.ticks {
             // Sample every lane's input spikes from its private stream —
             // same ascending active order and one-draw-per-active
-            // consumption as the singleton. Spikes land as per-input lane
+            // consumption as the event kernel. Spikes land as per-input lane
             // bitmasks plus a bitmap over spiked inputs, which the gather
             // walks in ascending input order with no sort. The shifted-bit
             // writes are branchless: a miss ORs in 0, so the loop carries
-            // no data-dependent branch (the singleton's conditional push
-            // mispredicts on a meaningful fraction of draws).
+            // no data-dependent branch (a conditional push mispredicts on a
+            // meaningful fraction of draws).
             let mut spiked_lanes = 0u64;
             for (l, rng) in s.rngs.iter_mut().enumerate() {
                 let (lo, hi) = (s.act_offsets[l], s.act_offsets[l + 1]);
@@ -1117,7 +978,7 @@ impl DiehlCookNetwork {
                 }
                 // The shared gather: one weight-row load per distinct
                 // spiked input (ascending input order via the bitmap, so
-                // each lane sees exactly the singleton's accumulation
+                // each lane sees the event kernel's accumulation
                 // sequence), fanned out into every lane that spiked it.
                 for w in 0..s.input_bitmap.len() {
                     let mut bits = s.input_bitmap[w];
@@ -1143,7 +1004,7 @@ impl DiehlCookNetwork {
                     }
                 }
                 // Land each spiked lane's drive on its own membrane slice
-                // — the singleton's `inject_all`, lane by lane.
+                // — the event kernel's `inject_all`, lane by lane.
                 let mut m = spiked_lanes;
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
@@ -1163,8 +1024,8 @@ impl DiehlCookNetwork {
             // Integrate every lane of every neuron in one full-width call;
             // spikes come out in ascending flat order, i.e. grouped by
             // lane with ascending neuron index inside each group. Theta
-            // then decays across the whole block — per element, exactly
-            // the singleton's step-then-decay sequence.
+            // then decays across the whole block — per element, the event
+            // kernel's step-then-decay sequence.
             accel::lif_step(
                 self.tier,
                 &mut s.v,
@@ -1179,7 +1040,7 @@ impl DiehlCookNetwork {
             // time: the lane's uniform `-k × inh` suppression, each
             // firer's own contribution back (refractory-gated), then
             // counts / first-fire / theta bumps in ascending neuron order
-            // — the singleton's exact per-tick sequence. The inhibitory
+            // — the event kernel's per-tick sequence. The inhibitory
             // layer itself is skipped (write-only in frozen runs).
             let mut si = 0;
             while si < s.spikes.len() {
@@ -1220,7 +1081,7 @@ impl DiehlCookNetwork {
             let scores_l = &s.scores[l * n_exc..(l + 1) * n_exc];
             let winner = Self::pick_winner(counts_l, ff_l, scores_l);
             // The lane's runner-up potential: same ascending max-fold over
-            // end-of-interval potentials as the singleton readout.
+            // end-of-interval potentials as `runner_up_potential`.
             let runner_up_potential = (0..n_exc)
                 .filter(|j| Some(*j) != winner)
                 .map(|j| s.v[l * n_exc + j])
@@ -1531,8 +1392,13 @@ mod tests {
         assert_eq!(net.weight_version(), 4);
         // The pure inference paths leave the version alone.
         net.present_one_tick(&rates, false);
-        net.present_frozen(&rates);
+        net.present_frozen_batch(&[&rates]);
         assert_eq!(net.weight_version(), 4);
+    }
+
+    /// One frozen query, run as a one-lane batch.
+    fn frozen_one(net: &mut DiehlCookNetwork, rates: &[f32]) -> RunOutcome {
+        net.present_frozen_batch(&[rates]).remove(0)
     }
 
     #[test]
@@ -1544,11 +1410,11 @@ mod tests {
         }
         let weights = net.weights().to_vec();
         let thetas = net.exc.thetas().to_vec();
-        let a = net.present_frozen(&rates);
-        let b = net.present_frozen(&rates);
+        let a = frozen_one(&mut net, &rates);
+        let b = frozen_one(&mut net, &rates);
         assert_eq!(a, b, "identical queries must yield identical outcomes");
         assert_eq!(net.weights(), &weights[..], "weights untouched");
-        assert_eq!(net.exc.thetas(), &thetas[..], "thetas restored");
+        assert_eq!(net.exc.thetas(), &thetas[..], "thetas untouched");
     }
 
     #[test]
@@ -1610,8 +1476,11 @@ mod tests {
         net
     }
 
+    /// Every lane of a multi-lane batch is bit-identical to the same query
+    /// run as a one-lane batch, both before and after the batch: a lane's
+    /// outcome does not depend on the lanes it shares a batch with.
     #[test]
-    fn frozen_batch_matches_singletons_bitwise() {
+    fn frozen_batch_lanes_match_one_lane_batches_bitwise() {
         let mut net = trained_small_net(8);
         let patterns: Vec<Vec<f32>> = vec![
             pattern(&[2, 10, 19], 24),
@@ -1625,6 +1494,7 @@ mod tests {
         ];
         for lanes in [1usize, 2, 3, 5, 8] {
             let queries: Vec<&[f32]> = patterns[..lanes].iter().map(|p| p.as_slice()).collect();
+            let before: Vec<RunOutcome> = queries.iter().map(|q| frozen_one(&mut net, q)).collect();
             let weights = net.weights().to_vec();
             let thetas = net.exc.thetas().to_vec();
             let version = net.weight_version();
@@ -1642,8 +1512,8 @@ mod tests {
                 "one presentation counted per lane"
             );
             for (l, q) in queries.iter().enumerate() {
-                let single = net.present_frozen(q);
-                assert_outcome_bits_eq(&batch[l], &single, l);
+                assert_outcome_bits_eq(&batch[l], &before[l], l);
+                assert_outcome_bits_eq(&batch[l], &frozen_one(&mut net, q), l);
             }
         }
     }
@@ -1666,14 +1536,14 @@ mod tests {
         assert_outcome_bits_eq(&out[0], &out[2], 2);
         assert_outcome_bits_eq(&out[0], &out[3], 3);
         assert_outcome_bits_eq(&out[1], &out[4], 4);
-        let single = net.present_frozen(&p);
-        assert_outcome_bits_eq(&out[0], &single, 0);
+        assert_outcome_bits_eq(&out[0], &frozen_one(&mut net, &p), 0);
+        assert_outcome_bits_eq(&out[1], &frozen_one(&mut net, &q), 1);
     }
 
     #[test]
     fn frozen_batch_chunks_beyond_64_lanes() {
         // 67 lanes forces a 64-lane chunk plus a 3-lane remainder; results
-        // must be indistinguishable from unchunked singleton runs.
+        // must be indistinguishable from one-lane batches.
         let mut net = trained_small_net(17);
         let patterns: Vec<Vec<f32>> = (0..67)
             .map(|i| pattern(&[i % 24, (i * 7 + 3) % 24, (i * 5 + 1) % 24], 24))
@@ -1682,8 +1552,7 @@ mod tests {
         let batch = net.present_frozen_batch(&queries);
         assert_eq!(batch.len(), 67);
         for (l, q) in queries.iter().enumerate() {
-            let single = net.present_frozen(q);
-            assert_outcome_bits_eq(&batch[l], &single, l);
+            assert_outcome_bits_eq(&batch[l], &frozen_one(&mut net, q), l);
         }
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! This module is *not* a second implementation to maintain feature-parity
 //! with: it exists to (a) pin the semantics of the optimized kernel and
-//! (b) serve as the "before" measurement in `repro bench` and the
-//! `snn_present` Criterion group.
+//! (b) serve as the "before" measurement in `repro bench`
+//! (`snn.present32.reference`).
 
 use pathfinder_telemetry as telemetry;
 

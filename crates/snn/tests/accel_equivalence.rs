@@ -112,8 +112,8 @@ proptest! {
             scalar.frozen_query_seed(&rates)
         );
         // …and the frozen kernels must then agree on everything, exactly.
-        let a = native.present_frozen(&rates);
-        let b = scalar.present_frozen(&rates);
+        let a = native.present_frozen_batch(&[&rates]);
+        let b = scalar.present_frozen_batch(&[&rates]);
         prop_assert_eq!(a, b, "frozen outcome diverged across tiers");
 
         prop_assert_eq!(
@@ -187,8 +187,8 @@ fn paper_sized_network_is_tier_pinned() {
         "learned weights diverged bitwise"
     );
 
-    let a = native.present_frozen(&rates);
-    let b = scalar.present_frozen(&rates);
+    let a = native.present_frozen_batch(&[&rates]);
+    let b = scalar.present_frozen_batch(&[&rates]);
     assert_eq!(a, b, "frozen outcome diverged across tiers");
     assert_eq!(
         native.present_one_tick(&rates, false),

@@ -1,15 +1,17 @@
 //! Exact-equality pin for cross-query batched frozen inference:
 //! `present_frozen_batch(queries)` must be **bitwise** equal, lane by lane,
-//! to N singleton `present_frozen` calls — not "close", identical. The
-//! batch kernel shares weight-row gathers across lanes and vectorizes over
-//! the query dimension, but each lane keeps a private RNG (seeded from
-//! `frozen_query_seed`), private theta/membrane state, and the singleton's
-//! per-element IEEE-754 op order, so the contract is equality of bits.
+//! to N one-lane `present_frozen_batch(&[query])` calls — not "close",
+//! identical. The kernel shares weight-row gathers across lanes and
+//! vectorizes over the query dimension, but each lane keeps a private RNG
+//! (seeded from `frozen_query_seed`), private theta/membrane state, and a
+//! fixed per-element IEEE-754 op order, so a lane's outcome cannot depend
+//! on the lanes it shares a batch with. (The one-lane kernel itself is
+//! pinned against the reference oracle by `tests/kernel_equivalence.rs`.)
 //!
 //! The suite runs against whatever tier the host dispatches natively and,
 //! in CI, again under `PATHFINDER_FORCE_SCALAR=1`; a tier-pinned case also
-//! cross-checks batch-vs-singleton on the scalar tier explicitly, so one
-//! native run covers both tiers on AVX2 hosts.
+//! cross-checks multi-lane vs one-lane batches on the scalar tier
+//! explicitly, so one native run covers both tiers on AVX2 hosts.
 //!
 //! Per the ROADMAP seed-robustness note, every assertion compares the two
 //! paths against each other at the same seed — never against hard-coded
@@ -73,17 +75,22 @@ fn lane_patterns(lanes: usize, n_input: usize, salt: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn check_batch_equals_singletons(net: &mut DiehlCookNetwork, patterns: &[Vec<f32>]) {
+/// One frozen query, run as a one-lane batch.
+fn frozen_one(net: &mut DiehlCookNetwork, rates: &[f32]) -> RunOutcome {
+    net.present_frozen_batch(&[rates]).remove(0)
+}
+
+fn check_batch_equals_one_lane_batches(net: &mut DiehlCookNetwork, patterns: &[Vec<f32>]) {
     let queries: Vec<&[f32]> = patterns.iter().map(|p| p.as_slice()).collect();
     let weights_before = net.weights().to_vec();
     let version_before = net.weight_version();
     let presentations_before = net.presentations();
 
-    // Singletons run once *before* and once *after* the batch: agreement
-    // across all three pins that the batch left weights, thetas, and the
-    // derived query streams untouched (thetas aren't public, but any theta
-    // drift would flip the repeated singleton bitwise).
-    let before: Vec<RunOutcome> = queries.iter().map(|q| net.present_frozen(q)).collect();
+    // One-lane batches run once *before* and once *after* the batch:
+    // agreement across all three pins that the batch left weights, thetas,
+    // and the derived query streams untouched (thetas aren't public, but
+    // any theta drift would flip the repeated one-lane run bitwise).
+    let before: Vec<RunOutcome> = queries.iter().map(|q| frozen_one(net, q)).collect();
     let batch = net.present_frozen_batch(&queries);
     assert_eq!(batch.len(), queries.len());
     assert_eq!(net.weights(), &weights_before[..], "weights untouched");
@@ -94,18 +101,18 @@ fn check_batch_equals_singletons(net: &mut DiehlCookNetwork, patterns: &[Vec<f32
         "batch counts one presentation per lane"
     );
     for (l, q) in queries.iter().enumerate() {
-        let after = net.present_frozen(q);
+        let after = frozen_one(net, q);
         assert_bits_eq(&batch[l], &before[l], l);
         assert_bits_eq(&batch[l], &after, l);
     }
 }
 
 proptest! {
-    /// Batched frozen inference is bitwise-equal to singleton runs across
+    /// Batched frozen inference is bitwise-equal to one-lane runs across
     /// random sizes, inhibition strengths, training histories, and lane
-    /// counts — including the 1-lane batch, which must not degenerate.
+    /// counts — including the 1-lane batch itself.
     #[test]
-    fn batch_lanes_match_singletons_bitwise(
+    fn batch_lanes_match_one_lane_batches_bitwise(
         seed in 0u64..1_000,
         n_exc in 1usize..12,
         // The vendored proptest stub only generates integer ranges; scale
@@ -123,7 +130,7 @@ proptest! {
                 net.present(p, true);
             }
         }
-        check_batch_equals_singletons(&mut net, &patterns);
+        check_batch_equals_one_lane_batches(&mut net, &patterns);
     }
 }
 
@@ -138,7 +145,7 @@ fn zero_lane_batch_is_a_noop() {
 }
 
 #[test]
-fn scalar_tier_batch_matches_scalar_singletons() {
+fn scalar_tier_batch_matches_scalar_one_lane_batches() {
     // Pin the scalar tier explicitly so a native AVX2 run still exercises
     // the scalar batch path (CI additionally re-runs the whole suite under
     // PATHFINDER_FORCE_SCALAR=1).
@@ -149,7 +156,7 @@ fn scalar_tier_batch_matches_scalar_singletons() {
     for p in &patterns {
         net.present(p, true);
     }
-    check_batch_equals_singletons(&mut net, &patterns);
+    check_batch_equals_one_lane_batches(&mut net, &patterns);
 }
 
 #[test]

@@ -135,8 +135,9 @@ proptest! {
         prop_assert_eq!(reference.weights(), &frozen[..]);
     }
 
-    /// The frozen-inference kernel (`present_frozen`) pins against the
-    /// reference kernel with learning disabled: train two networks in
+    /// The frozen-inference kernel, run as a one-lane
+    /// `present_frozen_batch`, pins against the reference kernel with
+    /// learning disabled: train two networks in
     /// lockstep through the *same* kernel (bit-identical state), then align
     /// the reference's shared RNG with the frozen kernel's derived
     /// per-query stream — winner, fired order, and spike counts must agree
@@ -177,7 +178,7 @@ proptest! {
         for round in 0..2 {
             let mut reference = reference_base.clone();
             reference.reseed_rng(frozen.frozen_query_seed(&rates));
-            let a = frozen.present_frozen(&rates);
+            let a = frozen.present_frozen_batch(&[&rates]).remove(0);
             let b = reference.present_reference(&rates, false);
             prop_assert_eq!(
                 a.spike_counts.clone(), b.spike_counts.clone(),
@@ -204,9 +205,10 @@ proptest! {
         prop_assert_eq!(frozen.frozen_query_seed(&rates), seed_before);
     }
 
-    /// `present_frozen` also matches the production event-driven kernel run
-    /// with `learn == false` on the same derived stream — the frozen path
-    /// differs only in where the RNG comes from and in restoring theta.
+    /// A one-lane `present_frozen_batch` also matches the production
+    /// event-driven kernel run with `learn == false` on the same derived
+    /// stream — the frozen path differs only in where the RNG comes from
+    /// and in keeping theta adaptation lane-private.
     #[test]
     fn frozen_kernel_agrees_with_event_kernel(
         seed in 0u64..1_000,
@@ -223,7 +225,7 @@ proptest! {
         }
 
         event.reseed_rng(frozen.frozen_query_seed(&rates));
-        let a = frozen.present_frozen(&rates);
+        let a = frozen.present_frozen_batch(&[&rates]).remove(0);
         let b = event.present(&rates, false);
         prop_assert_eq!(a.spike_counts, b.spike_counts);
         prop_assert_eq!(a.winner, b.winner);

@@ -34,8 +34,9 @@
 //! All recording entry points are compiled behind the `enabled` cargo
 //! feature (off by default). With the feature off they are empty
 //! `#[inline(always)]` functions, so instrumented code costs nothing — no
-//! branch, no thread-local access (verified by
-//! `crates/bench/benches/telemetry_overhead.rs`). Downstream crates expose
+//! branch, no thread-local access. What recording costs when it is on is
+//! measured end to end through the serve daemon (EXPERIMENTS.md,
+//! "Telemetry overhead"). Downstream crates expose
 //! their own `telemetry` feature forwarding to
 //! `pathfinder-telemetry/enabled`; `pathfinder-harness` turns it on by
 //! default so `repro` emits run reports out of the box.

@@ -80,6 +80,10 @@ pub struct SuiteResult {
     pub mean_ns: f64,
     /// Fastest sample's ns per operation.
     pub min_ns: f64,
+    /// 10th-percentile sample (nearest rank) of ns per operation.
+    pub p10_ns: f64,
+    /// 90th-percentile sample (nearest rank) of ns per operation.
+    pub p90_ns: f64,
     /// Operations per second at the median.
     pub ops_per_sec: f64,
     /// Timed samples taken.
@@ -178,13 +182,17 @@ fn suite_from_samples(
 ) -> SuiteResult {
     let samples = per_op.len();
     per_op.sort_by(f64::total_cmp);
-    let median_ns = per_op[per_op.len() / 2];
+    // Nearest-rank percentile; the median below is its q = 0.5 case.
+    let rank = |q: f64| per_op[((q * samples as f64).ceil() as usize).clamp(1, samples) - 1];
+    let median_ns = per_op[samples / 2];
     let mean_ns = per_op.iter().sum::<f64>() / per_op.len() as f64;
     SuiteResult {
         name,
         median_ns,
         mean_ns,
         min_ns: per_op[0],
+        p10_ns: rank(0.1),
+        p90_ns: rank(0.9),
         ops_per_sec: if median_ns > 0.0 {
             1e9 / median_ns
         } else {
@@ -684,6 +692,10 @@ impl BenchReport {
             json::write_f64(&mut out, s.mean_ns);
             out.push_str(",\"min_ns\":");
             json::write_f64(&mut out, s.min_ns);
+            out.push_str(",\"p10_ns\":");
+            json::write_f64(&mut out, s.p10_ns);
+            out.push_str(",\"p90_ns\":");
+            json::write_f64(&mut out, s.p90_ns);
             out.push_str(",\"ops_per_sec\":");
             json::write_f64(&mut out, s.ops_per_sec);
             out.push_str(",\"samples\":");
@@ -716,12 +728,14 @@ impl BenchReport {
     pub fn render_text(&self) -> String {
         let mut t = TextTable::new(
             "Benchmark micro-suite (median per op)",
-            &["suite", "median", "min", "ops/s"],
+            &["suite", "median", "p10", "p90", "min", "ops/s"],
         );
         for s in &self.suites {
             t.row(vec![
                 s.name.to_string(),
                 fmt_ns(s.median_ns),
+                fmt_ns(s.p10_ns),
+                fmt_ns(s.p90_ns),
                 fmt_ns(s.min_ns),
                 format!("{:.0}", s.ops_per_sec),
             ]);
@@ -977,6 +991,27 @@ mod tests {
         );
         let suites = doc.get("suites").and_then(json::Value::as_object).unwrap();
         assert_eq!(suites.len(), rep.suites.len());
+        for s in &rep.suites {
+            assert!(
+                s.min_ns <= s.p10_ns && s.p10_ns <= s.median_ns && s.median_ns <= s.p90_ns,
+                "{}: min <= p10 <= median <= p90",
+                s.name
+            );
+            let cell = doc.get("suites").and_then(|d| d.get(s.name)).unwrap();
+            for (field, value) in [
+                ("median_ns", s.median_ns),
+                ("min_ns", s.min_ns),
+                ("p10_ns", s.p10_ns),
+                ("p90_ns", s.p90_ns),
+            ] {
+                assert_eq!(
+                    cell.get(field).and_then(json::Value::as_f64),
+                    Some(value),
+                    "{}: JSON {field}",
+                    s.name
+                );
+            }
+        }
         assert!(doc
             .get("derived")
             .and_then(|d| d.get("snn_present32_event_vs_reference_speedup"))
@@ -1005,6 +1040,7 @@ mod tests {
 
         let text = rep.render_text();
         assert!(text.contains("snn.present32.event"));
+        assert!(text.lines().any(|l| l.contains("p10") && l.contains("p90")));
         assert!(text.contains("Kernel tier:"));
     }
 

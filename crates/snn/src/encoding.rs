@@ -58,25 +58,39 @@ impl PoissonEncoder {
         }
     }
 
+    /// Writes the per-tick spike probability of each `active` input into
+    /// `probs_out` (cleared first), computed exactly as
+    /// [`PoissonEncoder::sample_tick`] does per tick, so a presentation can
+    /// hoist it out of its tick loop.
+    pub fn spike_probs(&self, rates: &[f32], active: &[usize], probs_out: &mut Vec<f32>) {
+        probs_out.clear();
+        probs_out.extend(active.iter().map(|&i| (rates[i] * self.max_rate).min(1.0)));
+    }
+
     /// Like [`PoissonEncoder::sample_tick`] but only visits the
     /// pre-computed `active` index list (all `i` with `rates[i] > 0`, in
-    /// ascending order). Consumes the RNG exactly as `sample_tick` does —
-    /// one draw per active input — so the two paths produce bit-identical
-    /// spike trains from the same generator state.
+    /// ascending order) with its [`PoissonEncoder::spike_probs`]. Consumes
+    /// the RNG exactly as `sample_tick` does — one draw per active input —
+    /// so the two paths produce bit-identical spike trains from the same
+    /// generator state.
     pub fn sample_tick_active(
         &self,
-        rates: &[f32],
         active: &[usize],
+        probs: &[f32],
         rng: &mut StdRng,
         spikes_out: &mut Vec<usize>,
     ) {
+        // Branchless: every active index is written, and the length only
+        // advances on a hit (a conditional push mispredicts on a large
+        // share of draws).
         spikes_out.clear();
-        for &i in active {
-            let p = (rates[i] * self.max_rate).min(1.0);
-            if rng.gen_range(0.0f32..1.0) < p {
-                spikes_out.push(i);
-            }
+        spikes_out.resize(active.len(), 0);
+        let mut n = 0;
+        for (&i, &p) in active.iter().zip(probs) {
+            spikes_out[n] = i;
+            n += usize::from(rng.gen_range(0.0f32..1.0) < p);
         }
+        spikes_out.truncate(n);
     }
 
     /// Expected number of spikes for `rates` over `ticks` ticks.
@@ -152,9 +166,10 @@ mod tests {
     fn active_sampling_matches_full_scan() {
         let enc = PoissonEncoder::new(0.7);
         let rates = [0.0, 0.9, 0.0, 0.4, 1.0, 0.0];
-        let mut active = Vec::new();
+        let (mut active, mut probs) = (Vec::new(), Vec::new());
         enc.active_inputs(&rates, &mut active);
         assert_eq!(active, vec![1, 3, 4]);
+        enc.spike_probs(&rates, &active, &mut probs);
         // Identical RNG consumption: both paths draw once per active input,
         // so seeded generators stay in lockstep across ticks.
         let mut rng_a = StdRng::seed_from_u64(9);
@@ -162,7 +177,7 @@ mod tests {
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         for _ in 0..200 {
             enc.sample_tick(&rates, &mut rng_a, &mut out_a);
-            enc.sample_tick_active(&rates, &active, &mut rng_b, &mut out_b);
+            enc.sample_tick_active(&active, &probs, &mut rng_b, &mut out_b);
             assert_eq!(out_a, out_b);
         }
     }

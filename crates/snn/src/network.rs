@@ -3,12 +3,18 @@
 //! via STDP, and a one-to-one inhibitory layer providing lateral inhibition
 //! (§3.1, Figure 1).
 //!
-//! The presentation hot path is an *event-driven* kernel: each tick's
-//! synaptic drive is accumulated into a reusable per-neuron buffer and
-//! landed on the membrane in one [`LifLayer::inject_all`] pass, lateral
-//! inhibition is batched as `total spike drive − own contribution`, and all
-//! per-presentation buffers live in scratch owned by the network. The
-//! pre-rewrite per-synapse kernel is retained in [`crate::reference`] as
+//! The presentation hot path is an *event-driven* kernel that visits only
+//! live state: each tick samples just the active inputs (spike
+//! probabilities hoisted per presentation), accumulates the spiking inputs'
+//! weight rows into a reusable per-neuron buffer landed on the membrane in
+//! one [`LifLayer::inject_all`] pass, and batches lateral inhibition as
+//! `total spike drive − own contribution`. The inhibitory layer's only
+//! effect is that suppression, so its population is not stepped. STDP
+//! decays and scans only the traces that can be non-zero (active inputs,
+//! neurons that fired) and potentiates a firing neuron's synapses from the
+//! active inputs only. All per-presentation buffers live in scratch owned
+//! by the network. The pre-rewrite per-synapse kernel, with the inhibitory
+//! population and full-scan STDP, is retained in [`crate::reference`] as
 //! the equivalence/benchmark baseline.
 
 use pathfinder_telemetry as telemetry;
@@ -54,12 +60,13 @@ pub(crate) struct PresentScratch {
     /// Indices of inputs with a non-zero rate (computed once per
     /// presentation; per-tick sampling only visits these).
     pub(crate) active_inputs: Vec<usize>,
+    /// Per-tick spike probability of each active input, parallel to
+    /// `active_inputs` (hoisted out of the tick loop).
+    pub(crate) active_probs: Vec<f32>,
     /// This tick's input spikes.
     pub(crate) input_spikes: Vec<usize>,
     /// This tick's excitatory spikes.
     pub(crate) exc_spikes: Vec<usize>,
-    /// This tick's inhibitory spikes.
-    pub(crate) inh_spikes: Vec<usize>,
     /// Per-excitatory-neuron synaptic drive accumulated within one tick.
     pub(crate) drive: Vec<f32>,
     /// Expected-drive scores for the presentation (the §3.4 readout, also
@@ -69,8 +76,11 @@ pub(crate) struct PresentScratch {
     pub(crate) spike_counts: Vec<u32>,
     /// First-fire tick per excitatory neuron.
     pub(crate) first_fire: Vec<Option<u32>>,
-    /// Distinct firing neurons in first-fire order.
+    /// Distinct firing neurons in first-fire order — the only neurons
+    /// whose post trace can be non-zero.
     pub(crate) fired_order: Vec<usize>,
+    /// Neurons with a live post trace, rebuilt each STDP tick.
+    pub(crate) hot_posts: Vec<usize>,
 }
 
 impl PresentScratch {
@@ -83,8 +93,8 @@ impl PresentScratch {
         self.first_fire.clear();
         self.first_fire.resize(n_exc, None);
         self.fired_order.clear();
-        // active_inputs / input_spikes / exc_spikes / inh_spikes /
-        // drive_scores are cleared by their producers.
+        // active_inputs / active_probs / input_spikes / exc_spikes /
+        // drive_scores / hot_posts are cleared by their producers.
     }
 }
 
@@ -171,6 +181,8 @@ pub struct DiehlCookNetwork {
     /// Input→excitatory weights, input-major: `w[i * n_exc + j]`.
     pub(crate) weights: Vec<f32>,
     pub(crate) exc: LifLayer,
+    /// The inhibitory population, stepped only by the reference kernel
+    /// (the fast kernels apply its effect, lateral suppression, directly).
     pub(crate) inh: LifLayer,
     /// Presynaptic eligibility traces (per input).
     pub(crate) x_pre: Vec<f32>,
@@ -201,10 +213,6 @@ pub struct DiehlCookNetwork {
     pub(crate) scratch: PresentScratch,
     /// Reusable batched-inference buffers (see [`BatchScratch`]).
     pub(crate) batch_scratch: BatchScratch,
-    /// Reusable list of neurons with a live post trace, rebuilt each STDP
-    /// tick (kept outside [`PresentScratch`] because both kernels' STDP
-    /// shares it).
-    pub(crate) hot_posts: Vec<usize>,
     /// The kernel tier the network's dense loops dispatch to (captured at
     /// construction; see [`crate::accel`]).
     pub(crate) tier: KernelTier,
@@ -271,7 +279,6 @@ impl DiehlCookNetwork {
             frozen_salt: splitmix64(seed ^ 0xF0E1_D2C3_B4A5_9687),
             scratch: PresentScratch::default(),
             batch_scratch: BatchScratch::default(),
-            hot_posts: Vec::new(),
             tier,
             norm_sums: Vec::new(),
             norm_scales: Vec::new(),
@@ -400,7 +407,6 @@ impl DiehlCookNetwork {
         let mut stdp_updates = 0u64;
         // Fresh state per presentation (weights and theta persist).
         self.exc.reset_state();
-        self.inh.reset_state();
         self.x_pre.fill(0.0);
         self.x_post.fill(0.0);
 
@@ -415,6 +421,8 @@ impl DiehlCookNetwork {
         // non-zero rate can spike, so each tick visits O(active) inputs
         // instead of scanning all n_input rates.
         self.encoder.active_inputs(rates, &mut s.active_inputs);
+        self.encoder
+            .spike_probs(rates, &s.active_inputs, &mut s.active_probs);
 
         // The §3.4 1-tick approximation target: argmax of the *expected*
         // first-tick drive (input rates x weights), adjusted for adaptive
@@ -432,8 +440,8 @@ impl DiehlCookNetwork {
             //    consumes the RNG exactly like the reference kernel's full
             //    scan, so spike trains are bit-identical across kernels.
             self.encoder.sample_tick_active(
-                rates,
                 &s.active_inputs,
+                &s.active_probs,
                 &mut self.rng,
                 &mut s.input_spikes,
             );
@@ -463,19 +471,18 @@ impl DiehlCookNetwork {
             //    O(spikes x n_exc) individual injections. The suppression
             //    lands on next tick's membrane state so a single winner can
             //    silence the rest before they cascade across threshold.
+            //    The inhibitory population itself is not simulated: nothing
+            //    reads its state (the monitor records excitatory potentials),
+            //    so only its effect, this suppression, is applied.
             if !s.exc_spikes.is_empty() {
                 self.exc
                     .inject_uniform(-(s.exc_spikes.len() as f32) * inh_strength);
                 for &j in &s.exc_spikes {
                     self.exc.inject(j, inh_strength);
-                    self.inh.inject(j, self.cfg.exc_strength);
                 }
             }
-            // The inhibitory population is stepped for observability; its
-            // functional effect is the suppression applied above.
-            self.inh.step(&mut s.inh_spikes);
 
-            // 6. Bookkeeping.
+            // 5. Bookkeeping.
             for &j in &s.exc_spikes {
                 s.spike_counts[j] += 1;
                 if s.first_fire[j].is_none() {
@@ -489,10 +496,9 @@ impl DiehlCookNetwork {
                 m.record_tick(self.exc.potentials(), &s.exc_spikes);
             }
 
-            // 7. STDP (PostPre): traces decay, then spikes update weights.
+            // 6. STDP (PostPre): traces decay, then spikes update weights.
             if learn {
-                stdp_updates +=
-                    self.stdp_tick_active(&s.active_inputs, &s.input_spikes, &s.exc_spikes);
+                stdp_updates += self.stdp_tick_sparse(&mut s);
             }
             if telemetry::enabled() {
                 input_spike_total += s.input_spikes.len() as u64;
@@ -604,64 +610,50 @@ impl DiehlCookNetwork {
             .map(|(j, _)| j)
     }
 
-    /// Applies one tick of PostPre STDP; returns the number of synapses
-    /// touched (0 when telemetry is compiled out — the count is only
-    /// maintained for observability).
-    pub(crate) fn stdp_tick(&mut self, input_spikes: &[usize], exc_spikes: &[usize]) -> u64 {
-        // Trace decay over every input (the pre-rewrite behaviour; the
-        // event kernel uses the sparse variant below).
-        for x in &mut self.x_pre {
-            *x *= self.trace_decay;
-        }
-        self.stdp_spikes(input_spikes, exc_spikes)
-    }
-
-    /// [`DiehlCookNetwork::stdp_tick`] with the pre-trace decay restricted
-    /// to `active` inputs. Bit-identical to the full decay: an input whose
-    /// rate is zero never spikes, so its pre trace is exactly 0.0 forever
-    /// and decaying it is a no-op. The event-driven kernel already holds
-    /// the active-input list, turning the O(n_input) decay into O(active).
-    pub(crate) fn stdp_tick_active(
-        &mut self,
-        active: &[usize],
-        input_spikes: &[usize],
-        exc_spikes: &[usize],
-    ) -> u64 {
-        for &i in active {
-            self.x_pre[i] *= self.trace_decay;
-        }
-        self.stdp_spikes(input_spikes, exc_spikes)
-    }
-
-    /// The spike-driven half of a PostPre STDP tick: post-trace decay plus
-    /// depression/potentiation updates. Shared by both decay variants.
-    fn stdp_spikes(&mut self, input_spikes: &[usize], exc_spikes: &[usize]) -> u64 {
+    /// One tick of PostPre STDP for the event kernel, visiting only live
+    /// state. Bit-identical to the reference kernel's full scan
+    /// ([`crate::reference`]) because every skipped element is inert:
+    ///
+    /// * pre traces are zeroed per presentation and set only by input
+    ///   spikes, so only `active_inputs` can hold a non-zero one — only
+    ///   they are decayed, and only they can pass potentiation's
+    ///   `x_pre > 1e-3` test (visited in ascending input order, as the
+    ///   full column walk does);
+    /// * post traces are zeroed per presentation and set only by
+    ///   excitatory spikes, so only `fired_order` can hold a non-zero one —
+    ///   only they are decayed and scanned for the depression hot set.
+    ///
+    /// Every weight update is elementwise (no reductions), so visiting the
+    /// live elements in another order than a full scan changes no bit.
+    /// Returns the number of synapses touched (0 when telemetry is compiled
+    /// out — the count is only maintained for observability).
+    fn stdp_tick_sparse(&mut self, s: &mut PresentScratch) -> u64 {
         let mut touched = 0u64;
         let n_exc = self.cfg.n_exc;
         let stdp = self.cfg.stdp;
-        for x in &mut self.x_post {
-            *x *= self.trace_decay;
+        for &i in &s.active_inputs {
+            self.x_pre[i] *= self.trace_decay;
+        }
+        for &j in &s.fired_order {
+            self.x_post[j] *= self.trace_decay;
         }
         // Presynaptic spikes: bump pre trace, depress synapses onto
         // recently-fired neurons (post-before-pre). Only neurons with a
         // live post trace can be depressed — usually none or a handful —
         // so they are gathered once per tick and each spiking input's row
-        // is touched at exactly those columns, in the same ascending-j
-        // order (and therefore bit-identically) as a full row scan.
-        if !input_spikes.is_empty() {
-            let mut hot = std::mem::take(&mut self.hot_posts);
-            hot.clear();
-            hot.extend(
-                self.x_post
+        // is touched at exactly those columns.
+        if !s.input_spikes.is_empty() {
+            s.hot_posts.clear();
+            s.hot_posts.extend(
+                s.fired_order
                     .iter()
-                    .enumerate()
-                    .filter(|(_, &x)| x > 1e-3)
-                    .map(|(j, _)| j),
+                    .copied()
+                    .filter(|&j| self.x_post[j] > 1e-3),
             );
-            for &i in input_spikes {
+            for &i in &s.input_spikes {
                 self.x_pre[i] = 1.0;
                 let row = &mut self.weights[i * n_exc..(i + 1) * n_exc];
-                for &j in &hot {
+                for &j in &s.hot_posts {
                     row[j] = (row[j] - stdp.nu_pre * self.x_post[j]).max(0.0);
                     self.dirty_cols[j] = true;
                     if telemetry::enabled() {
@@ -669,17 +661,16 @@ impl DiehlCookNetwork {
                     }
                 }
             }
-            self.hot_posts = hot;
         }
         // Postsynaptic spikes: bump post trace, potentiate synapses from
-        // recently-spiked inputs (pre-before-post). The column is walked as
-        // a strided view zipped with the pre traces — same visit order as
-        // an indexed gather, without per-element bounds checks.
-        for &j in exc_spikes {
+        // recently-spiked inputs (pre-before-post).
+        for &j in &s.exc_spikes {
             self.x_post[j] = 1.0;
             self.dirty_cols[j] = true;
-            for (w, &xp) in self.weights[j..].iter_mut().step_by(n_exc).zip(&self.x_pre) {
+            for &i in &s.active_inputs {
+                let xp = self.x_pre[i];
                 if xp > 1e-3 {
+                    let w = &mut self.weights[i * n_exc + j];
                     *w = (*w + stdp.nu_post * xp).min(stdp.w_max);
                     if telemetry::enabled() {
                         touched += 1;
@@ -828,10 +819,9 @@ impl DiehlCookNetwork {
     ///   [`accel`] kernels instead of `2 × lanes` per-layer calls, while
     ///   the sparse phases (injection, lateral inhibition) touch only the
     ///   lanes with events this tick — quiet lanes cost nothing;
-    /// * **no inhibitory-layer simulation** — the inhibitory population's
-    ///   state is write-only in a frozen presentation (every presentation
-    ///   path resets it on entry and nothing reads it), so the batch skips
-    ///   it entirely.
+    /// * **no inhibitory-layer simulation** — nothing reads the
+    ///   inhibitory population's state, so the batch, like the event
+    ///   kernel, applies only its effect (the lateral suppression).
     ///
     /// Batching never changes a lane's arithmetic: each lane keeps private
     /// theta/membrane/refractory state and a fixed per-element IEEE-754 op

@@ -14,6 +14,11 @@
 //! counts, first-fire ticks) and near-equal weights rather than bitwise
 //! membrane state. See `tests/kernel_equivalence.rs`.
 //!
+//! The reference also keeps the full-state STDP tick (every trace decayed,
+//! every post trace scanned, each firing neuron's whole column walked) and
+//! steps the inhibitory population; the event kernel skips the state that
+//! is provably inert there.
+//!
 //! This module is *not* a second implementation to maintain feature-parity
 //! with: it exists to (a) pin the semantics of the optimized kernel and
 //! (b) serve as the "before" measurement in `repro bench`
@@ -59,6 +64,7 @@ impl DiehlCookNetwork {
         let mut input_spikes: Vec<usize> = Vec::new();
         let mut exc_spikes: Vec<usize> = Vec::new();
         let mut inh_spikes: Vec<usize> = Vec::new();
+        let mut hot_posts: Vec<usize> = Vec::new();
 
         let mut spike_counts = vec![0u32; n_exc];
         let mut first_fire: Vec<Option<u32>> = vec![None; n_exc];
@@ -109,7 +115,7 @@ impl DiehlCookNetwork {
 
             // 7. STDP (PostPre): traces decay, then spikes update weights.
             if learn {
-                stdp_updates += self.stdp_tick(&input_spikes, &exc_spikes);
+                stdp_updates += self.stdp_tick(&input_spikes, &exc_spikes, &mut hot_posts);
             }
             if telemetry::enabled() {
                 input_spike_total += input_spikes.len() as u64;
@@ -143,6 +149,69 @@ impl DiehlCookNetwork {
             first_tick_argmax,
             runner_up_potential,
         }
+    }
+
+    /// Applies one tick of PostPre STDP over the full state: every trace
+    /// decays, the depression hot set comes from a scan of every post
+    /// trace, and potentiation walks each firing neuron's whole strided
+    /// column. `hot` is the caller's reusable hot-set buffer. Returns the
+    /// number of synapses touched (0 when telemetry is compiled out — the
+    /// count is only maintained for observability).
+    fn stdp_tick(
+        &mut self,
+        input_spikes: &[usize],
+        exc_spikes: &[usize],
+        hot: &mut Vec<usize>,
+    ) -> u64 {
+        let mut touched = 0u64;
+        let n_exc = self.cfg.n_exc;
+        let stdp = self.cfg.stdp;
+        for x in &mut self.x_pre {
+            *x *= self.trace_decay;
+        }
+        for x in &mut self.x_post {
+            *x *= self.trace_decay;
+        }
+        // Presynaptic spikes: bump pre trace, depress synapses onto
+        // recently-fired neurons (post-before-pre), visiting each spiking
+        // input's row at the live-post-trace columns only.
+        if !input_spikes.is_empty() {
+            hot.clear();
+            hot.extend(
+                self.x_post
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &x)| x > 1e-3)
+                    .map(|(j, _)| j),
+            );
+            for &i in input_spikes {
+                self.x_pre[i] = 1.0;
+                let row = &mut self.weights[i * n_exc..(i + 1) * n_exc];
+                for &j in hot.iter() {
+                    row[j] = (row[j] - stdp.nu_pre * self.x_post[j]).max(0.0);
+                    self.dirty_cols[j] = true;
+                    if telemetry::enabled() {
+                        touched += 1;
+                    }
+                }
+            }
+        }
+        // Postsynaptic spikes: bump post trace, potentiate synapses from
+        // recently-spiked inputs (pre-before-post), walking the strided
+        // column.
+        for &j in exc_spikes {
+            self.x_post[j] = 1.0;
+            self.dirty_cols[j] = true;
+            for (w, &xp) in self.weights[j..].iter_mut().step_by(n_exc).zip(&self.x_pre) {
+                if xp > 1e-3 {
+                    *w = (*w + stdp.nu_post * xp).min(stdp.w_max);
+                    if telemetry::enabled() {
+                        touched += 1;
+                    }
+                }
+            }
+        }
+        touched
     }
 }
 

@@ -28,8 +28,9 @@
 //!   where one call integrates every lane of every neuron.
 //!
 //! The family: [`add_assign`], [`scale_in_place`], [`masked_scaled_add`],
-//! [`masked_add_uniform`], and [`lif_step`] with its [`LifStepParams`].
-//! Spike extraction in [`lif_step`] emits ascending flat indices, which in
+//! [`masked_add_uniform`], and [`lif_tick`] with its [`LifStepParams`] —
+//! one fused pass of drive injection, LIF step and theta decay.
+//! Spike extraction in [`lif_tick`] emits ascending flat indices, which in
 //! the lane-major layout is grouped by lane with ascending neuron order
 //! inside each group — exactly the order the scalar singleton walk
 //! produces per lane.
@@ -279,7 +280,7 @@ pub fn min2_index_u64(tier: KernelTier, xs: &[u64]) -> (usize, u64, u64) {
 // ---------------------------------------------------------------------------
 
 /// Parameters of one LIF integration tick, hoisted out of
-/// [`lif_step`]'s lane loop.
+/// [`lif_tick`]'s lane loop.
 #[derive(Debug, Clone, Copy)]
 pub struct LifStepParams {
     /// Resting potential the membrane decays toward.
@@ -355,33 +356,77 @@ pub fn masked_add_uniform(tier: KernelTier, v: &mut [f32], refrac: &[u32], curre
     }
 }
 
-/// One LIF tick over a whole population (or every lane of one in the
-/// lane-major multi-lane layout): refractory elements count down and
-/// skip integration; the rest leak toward rest and fire when they cross
-/// `v_thresh + theta[i]`, resetting to `v_reset` and entering the
-/// refractory period. Spiking indices are appended to `spikes_out`
-/// (cleared first) in ascending order — the AVX2 path extracts them from
-/// the lane movemask lowest-lane-first, so the order matches the scalar
-/// walk exactly. Ascending flat order over a lane-major block is grouped
-/// by lane, i.e. each lane sees its own spikes in ascending neuron order.
+/// One fused LIF tick over a whole population (or every lane of one in
+/// the lane-major multi-lane layout), one pass per element:
+///
+/// 1. **inject** — with `drive = Some(d)`, every non-refractory element
+///    gets `v[i] += d[i] * gain` (mul then add, two roundings);
+/// 2. **step** — refractory elements count down and skip integration; the
+///    rest leak toward rest and fire when they cross `v_thresh + theta[i]`
+///    (the threshold *before* this tick's decay), resetting to `v_reset`
+///    and entering the refractory period;
+/// 3. **decay** — every threshold becomes `theta[i] * theta_decay`.
+///
+/// Per element these are exactly the IEEE-754 operations of a masked
+/// injection pass, a step pass and a decay pass run back to back, so the
+/// fused kernel is bitwise the three-pass sequence. A `theta_decay` of
+/// exactly `1.0` leaves every threshold's bits unchanged.
+///
+/// Spiking indices are appended to `spikes_out` (cleared first) in
+/// ascending order — the AVX2 path extracts them from the lane movemask
+/// lowest-lane-first, so the order matches the scalar walk exactly.
+/// Ascending flat order over a lane-major block is grouped by lane, i.e.
+/// each lane sees its own spikes in ascending neuron order.
+#[allow(clippy::too_many_arguments)]
 #[inline]
-pub fn lif_step(
+pub fn lif_tick(
     tier: KernelTier,
     v: &mut [f32],
     refrac: &mut [u32],
-    theta: &[f32],
+    theta: &mut [f32],
+    drive: Option<&[f32]>,
+    gain: f32,
     p: LifStepParams,
+    theta_decay: f32,
     spikes_out: &mut Vec<usize>,
 ) {
     assert_eq!(v.len(), refrac.len(), "accel: slice length mismatch");
     assert_eq!(v.len(), theta.len(), "accel: slice length mismatch");
+    if let Some(d) = drive {
+        assert_eq!(v.len(), d.len(), "accel: slice length mismatch");
+    }
     spikes_out.clear();
-    match tier {
-        KernelTier::Scalar => lif_step_scalar(v, refrac, theta, p, 0, spikes_out),
+    let k = TickConsts {
+        gain,
+        p,
+        theta_decay,
+    };
+    match (tier, drive) {
+        (KernelTier::Scalar, Some(d)) => {
+            lif_tick_scalar::<true>(v, refrac, theta, d, k, 0, spikes_out)
+        }
+        (KernelTier::Scalar, None) => {
+            lif_tick_scalar::<false>(v, refrac, theta, &[], k, 0, spikes_out)
+        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as in `add_assign`.
-        KernelTier::Avx2 => unsafe { avx2_f32::lif_step(v, refrac, theta, p, spikes_out) },
+        (KernelTier::Avx2, Some(d)) => unsafe {
+            avx2_f32::lif_tick::<true>(v, refrac, theta, d, k, spikes_out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `add_assign`.
+        (KernelTier::Avx2, None) => unsafe {
+            avx2_f32::lif_tick::<false>(v, refrac, theta, &[], k, spikes_out)
+        },
     }
+}
+
+/// The scalar arguments of one [`lif_tick`], bundled for its kernels.
+#[derive(Clone, Copy)]
+struct TickConsts {
+    gain: f32,
+    p: LifStepParams,
+    theta_decay: f32,
 }
 
 fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
@@ -412,27 +457,37 @@ fn masked_add_uniform_scalar(v: &mut [f32], refrac: &[u32], current: f32) {
     }
 }
 
-/// The scalar LIF tick; `base` offsets pushed spike indices so the AVX2
-/// kernel can reuse it for its tail lanes.
-fn lif_step_scalar(
+/// The scalar fused tick; `INJECT` selects the drive injection (`drive`
+/// is unread without it), and `base` offsets pushed spike indices so the
+/// AVX2 kernel can reuse it for its tail lanes.
+fn lif_tick_scalar<const INJECT: bool>(
     v: &mut [f32],
     refrac: &mut [u32],
-    theta: &[f32],
-    p: LifStepParams,
+    theta: &mut [f32],
+    drive: &[f32],
+    k: TickConsts,
     base: usize,
     spikes_out: &mut Vec<usize>,
 ) {
+    let p = k.p;
     for i in 0..v.len() {
+        let th = theta[i];
+        theta[i] = th * k.theta_decay;
         if refrac[i] > 0 {
             refrac[i] -= 1;
             continue;
         }
-        v[i] = p.v_rest + (v[i] - p.v_rest) * p.decay;
-        if v[i] >= p.v_thresh + theta[i] {
+        let mut x = v[i];
+        if INJECT {
+            x += drive[i] * k.gain;
+        }
+        x = p.v_rest + (x - p.v_rest) * p.decay;
+        if x >= p.v_thresh + th {
             spikes_out.push(base + i);
-            v[i] = p.v_reset;
+            x = p.v_reset;
             refrac[i] = p.refractory;
         }
+        v[i] = x;
     }
 }
 
@@ -609,7 +664,7 @@ mod avx2 {
 mod avx2_f32 {
     use std::arch::x86_64::*;
 
-    use super::LifStepParams;
+    use super::TickConsts;
 
     const LANES: usize = 8;
 
@@ -686,14 +741,18 @@ mod avx2_f32 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lif_step(
+    pub(super) unsafe fn lif_tick<const INJECT: bool>(
         v: &mut [f32],
         refrac: &mut [u32],
-        theta: &[f32],
-        p: LifStepParams,
+        theta: &mut [f32],
+        drive: &[f32],
+        k: TickConsts,
         spikes_out: &mut Vec<usize>,
     ) {
         let n = v.len();
+        let p = k.p;
+        let gain = _mm256_set1_ps(k.gain);
+        let theta_decay = _mm256_set1_ps(k.theta_decay);
         let v_rest = _mm256_set1_ps(p.v_rest);
         let decay = _mm256_set1_ps(p.decay);
         let v_thresh = _mm256_set1_ps(p.v_thresh);
@@ -706,15 +765,28 @@ mod avx2_f32 {
             let active = _mm256_cmpeq_epi32(r, _mm256_setzero_si256());
             let active_ps = _mm256_castsi256_ps(active);
 
+            // Inject on active lanes: v + drive * gain, two roundings.
+            let mut vv = _mm256_loadu_ps(v.as_ptr().add(i));
+            if INJECT {
+                let d = _mm256_loadu_ps(drive.as_ptr().add(i));
+                let bumped = _mm256_add_ps(vv, _mm256_mul_ps(d, gain));
+                vv = _mm256_blendv_ps(vv, bumped, active_ps);
+            }
+
             // Leak toward rest on active lanes: v_rest + (v - v_rest) * decay.
-            let vv = _mm256_loadu_ps(v.as_ptr().add(i));
             let leaked = _mm256_add_ps(v_rest, _mm256_mul_ps(_mm256_sub_ps(vv, v_rest), decay));
             let v_new = _mm256_blendv_ps(vv, leaked, active_ps);
 
-            // Spike where an active lane crosses v_thresh + theta.
-            let th = _mm256_add_ps(v_thresh, _mm256_loadu_ps(theta.as_ptr().add(i)));
+            // Spike where an active lane crosses v_thresh + theta (the
+            // pre-decay theta), then decay theta on every lane.
+            let th_raw = _mm256_loadu_ps(theta.as_ptr().add(i));
+            let th = _mm256_add_ps(v_thresh, th_raw);
             let crossed = _mm256_cmp_ps::<_CMP_GE_OQ>(v_new, th);
             let spike = _mm256_and_ps(crossed, active_ps);
+            _mm256_storeu_ps(
+                theta.as_mut_ptr().add(i),
+                _mm256_mul_ps(th_raw, theta_decay),
+            );
 
             // Spiking lanes reset; refractory lanes count down; active
             // non-spiking lanes keep refrac == 0 (blend keeps `r`).
@@ -733,7 +805,16 @@ mod avx2_f32 {
             }
             i += LANES;
         }
-        super::lif_step_scalar(&mut v[i..], &mut refrac[i..], &theta[i..], p, i, spikes_out);
+        let tail = if INJECT { &drive[i..] } else { drive };
+        super::lif_tick_scalar::<INJECT>(
+            &mut v[i..],
+            &mut refrac[i..],
+            &mut theta[i..],
+            tail,
+            k,
+            i,
+            spikes_out,
+        );
     }
 }
 
@@ -928,7 +1009,7 @@ mod tests {
     }
 
     #[test]
-    fn lif_step_is_bitwise_identical_across_tiers() {
+    fn lif_tick_is_bitwise_identical_across_tiers() {
         let p = LifStepParams {
             v_rest: -65.0,
             decay: 0.99,
@@ -942,33 +1023,44 @@ mod tests {
             let v0 = rand_f32(seed, n, -70.0, -45.0);
             let theta0 = rand_f32(seed ^ 0x33, n, 0.0, 5.0);
             let refrac0 = rand_refrac(seed ^ 0x66, n);
+            let drive = rand_f32(seed ^ 0x99, n, -1.0, 3.0);
 
             let run = |tier: KernelTier| {
                 let mut v = v0.clone();
                 let mut refrac = refrac0.clone();
+                let mut theta = theta0.clone();
                 let mut spikes = Vec::new();
                 let mut all_spikes = Vec::new();
-                // Several ticks so reset/refractory state feeds back.
-                for _ in 0..6 {
-                    lif_step(tier, &mut v, &mut refrac, &theta0, p, &mut spikes);
+                // Several ticks, with and without drive, so reset,
+                // refractory and theta state feed back.
+                for tick in 0..6 {
+                    let d = (tick % 2 == 0).then_some(drive.as_slice());
+                    lif_tick(
+                        tier,
+                        &mut v,
+                        &mut refrac,
+                        &mut theta,
+                        d,
+                        2.1,
+                        p,
+                        0.999,
+                        &mut spikes,
+                    );
                     all_spikes.push(spikes.clone());
                 }
-                let bits: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
-                (bits, refrac, all_spikes)
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                (bits(&v), bits(&theta), refrac, all_spikes)
             };
 
             let scalar = run(KernelTier::Scalar);
             // Spikes come out in ascending flat order (grouped by
             // lane in the lane-major layout).
-            for tick in &scalar.2 {
+            for tick in &scalar.3 {
                 assert!(tick.windows(2).all(|w| w[0] < w[1]), "unsorted spikes");
             }
             #[cfg(target_arch = "x86_64")]
             if KernelTier::Avx2.supported() {
-                let simd = run(KernelTier::Avx2);
-                assert_eq!(scalar.0, simd.0, "potentials diverged (n={n})");
-                assert_eq!(scalar.1, simd.1, "refractory state diverged (n={n})");
-                assert_eq!(scalar.2, simd.2, "spike trains diverged (n={n})");
+                assert_eq!(scalar, run(KernelTier::Avx2), "tiers diverged (n={n})");
             }
         }
     }

@@ -8,16 +8,18 @@
 //! (`snn.present32.frozen_batch{8,32}` vs `snn.present32.frozen_singleton32`,
 //! bit-identical lane outcomes), the 1-tick readout, pixel encoding, per-prefetcher
 //! per-access cost, the duty-cycled cached vs always-on steady-state
-//! pair, the flat-layout timed replay vs the retained reference engine
+//! pair, the churn-shaped learning cell (`prefetcher.pathfinder.churn`:
+//! 32 fresh duty-cycled streams of 256 accesses), the flat-layout timed replay vs the retained reference engine
 //! (`sim.replay.{demand,prefetch,e2e}` plus `sim.replay.e2e.reference`),
 //! the replay engine's dispatched vs forced-scalar tier pair
 //! (`sim.replay.e2e.simd` / `sim.replay.e2e.scalar`), the serve daemon's
 //! stream-serving throughput at widening concurrency
 //! (`serve.throughput.{1,64,1024}streams`, sustained aggregate
 //! accesses/sec through the in-process engine), and one end-to-end
-//! report cell), then emits the results as `BENCH_pr8.json`: suite →
-//! median ns/op + throughput, the dispatched kernel tier, plus a
-//! telemetry snapshot of the end-to-end cell.
+//! report cell), then emits the results as `BENCH_pr21.json` (the
+//! `--bench-out` default): suite → median ns/op + throughput, the
+//! dispatched kernel tier, plus a telemetry snapshot of the end-to-end
+//! cell.
 //!
 //! With `--baseline <json>` the run becomes a *gate*: each suite's median
 //! is compared against the checked-in baseline (`benches/baseline.json`)
@@ -37,7 +39,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use pathfinder_core::{PathfinderConfig, PixelMatrixEncoder, StdpDutyCycle};
+use pathfinder_core::{PathfinderConfig, PathfinderPrefetcher, PixelMatrixEncoder, StdpDutyCycle};
 use pathfinder_prefetch::generate_prefetches;
 use pathfinder_serve::{AccessRecord, Request, ServeEngine, StreamTemplate};
 use pathfinder_sim::{MemoryAccess, ReferenceSimulator, Simulator, Trace};
@@ -50,6 +52,12 @@ use crate::table::TextTable;
 
 /// Schema tag written into every bench document.
 pub const SCHEMA: &str = "pathfinder-bench/1";
+
+/// Streams in the `prefetcher.pathfinder.churn` cell.
+const CHURN_STREAMS: usize = 32;
+
+/// Accesses per stream in the `prefetcher.pathfinder.churn` cell.
+const CHURN_LOADS: usize = 256;
 
 /// Scale parameters for one bench run.
 #[derive(Debug, Clone, Copy)]
@@ -409,6 +417,42 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         },
     ));
 
+    // --- Churn-shaped learning: many short duty-cycled streams. ----------
+    // The servebench `churn-fanout` shape without the daemon: 32 fresh
+    // duty-cycled prefetchers (STDP on for the first 250 of every 5000
+    // accesses, SNN cache 1024), each replaying 256 accesses of Table-5
+    // trace `Workload::ALL[i % 11]` in 64-access `on_access_run` chunks.
+    // 250 of each stream's 256 accesses run learning presentations, so
+    // this cell follows the learning kernel; cost is reported per access.
+    let churn_traces: Vec<Trace> = (0..CHURN_STREAMS)
+        .map(|i| {
+            let workload = Workload::ALL[i % Workload::ALL.len()];
+            workload.generate(CHURN_LOADS, opts.seed ^ i as u64)
+        })
+        .collect();
+    let churn_cfg = PathfinderConfig {
+        stdp_duty: StdpDutyCycle::first_n_of_5000(250),
+        snn_cache_entries: 1024,
+        ..PathfinderConfig::default()
+    };
+    suites.push(measure(
+        "prefetcher.pathfinder.churn",
+        7,
+        (CHURN_STREAMS * CHURN_LOADS) as u64,
+        || {
+            for (i, trace) in churn_traces.iter().enumerate() {
+                let mut p = PathfinderPrefetcher::new(PathfinderConfig {
+                    seed: churn_cfg.seed ^ i as u64,
+                    ..churn_cfg
+                })
+                .expect("valid pathfinder config");
+                for chunk in trace.accesses().chunks(64) {
+                    black_box(p.on_access_run(black_box(chunk)));
+                }
+            }
+        },
+    ));
+
     // --- Timed replay: flat engine vs the retained reference engine. ------
     // Same trace and schedule through both engines; they produce
     // bit-identical reports (pinned by `sim/tests/engine_equivalence.rs`),
@@ -669,7 +713,7 @@ fn steady_delta_trace(loads: usize) -> Trace {
 }
 
 impl BenchReport {
-    /// Renders the machine-readable JSON document (`BENCH_pr7.json`).
+    /// Renders the machine-readable JSON document (`BENCH_pr21.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\"schema\":");
@@ -955,6 +999,7 @@ mod tests {
             "prefetcher.pathfinder",
             "prefetcher.pathfinder.steady",
             "prefetcher.pathfinder.cached",
+            "prefetcher.pathfinder.churn",
             "sim.replay.demand",
             "sim.replay.prefetch",
             "sim.replay.e2e",

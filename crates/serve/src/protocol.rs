@@ -181,6 +181,12 @@ const BATCH_RECORD_BYTES: usize = 8 + 8 + 8 + 8 + 1;
 impl Request {
     /// Serializes the request to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        self.encoder().into_bytes()
+    }
+
+    /// Serializes the request into an encoder, ready to be sent as one
+    /// frame with [`Enc::write_frame`].
+    pub fn encoder(&self) -> Enc {
         let mut e = Enc::new();
         match self {
             Request::Access { stream, access } => {
@@ -196,7 +202,7 @@ impl Request {
                     enc.u64(*stream);
                     rec.encode(&mut enc);
                 }
-                return enc.into_bytes();
+                return enc;
             }
             Request::Predict { stream } => {
                 e.u8(REQ_PREDICT);
@@ -223,7 +229,7 @@ impl Request {
                 e.opt_u64(*stream);
             }
         }
-        e.into_bytes()
+        e
     }
 
     /// Parses a frame payload.
@@ -458,6 +464,12 @@ fn decode_blocks(d: &mut Dec<'_>) -> Result<Vec<u64>, WireError> {
 impl Response {
     /// Serializes the response to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        self.encoder().into_bytes()
+    }
+
+    /// Serializes the response into an encoder, ready to be sent as one
+    /// frame with [`Enc::write_frame`].
+    pub fn encoder(&self) -> Enc {
         let mut e = Enc::new();
         match self {
             Response::Prefetches(blocks) => {
@@ -474,7 +486,7 @@ impl Response {
                 for blocks in batch {
                     encode_blocks(&mut enc, blocks);
                 }
-                return enc.into_bytes();
+                return enc;
             }
             Response::Trained {
                 accesses,
@@ -521,7 +533,7 @@ impl Response {
                 e.str(msg);
             }
         }
-        e.into_bytes()
+        e
     }
 
     /// Parses a frame payload.

@@ -1,14 +1,16 @@
 //! Unix-socket transport: the daemon's accept loop and a blocking client.
 //!
 //! Connections are one thread each, reading length-prefixed
-//! [`Request`]/[`Response`] frames with blocking reads and serving each
-//! request inline on the engine until the peer disconnects. A full drain
+//! [`Request`]/[`Response`] frames with blocking reads through a
+//! per-connection `BufReader` (one `read` per small frame) and serving each
+//! request inline on the engine until the peer disconnects. Every frame
+//! goes out in one `write`. A full drain
 //! (`Drain { stream: None }`) ends the daemon: the connection that drained
 //! writes its reply, wakes the blocked accept loop with one self-connect,
 //! and the loop shuts down the read half of every live connection so idle
 //! peers cannot hold the daemon open, then removes the socket file.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -18,7 +20,7 @@ use std::time::Duration;
 
 use crate::engine::ServeEngine;
 use crate::protocol::{Request, Response};
-use crate::wire::{read_frame, write_frame};
+use crate::wire::read_frame;
 
 /// How often [`UnixClient::connect_with_retry`] retries a refused connect.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
@@ -84,12 +86,13 @@ pub fn serve_unix(engine: Arc<ServeEngine>, path: &Path) -> io::Result<()> {
 /// the engine starts draining (the reply that started it is written first).
 fn serve_connection(engine: &ServeEngine, mut stream: &UnixStream) -> io::Result<()> {
     let mut requester = engine.requester();
-    while let Some(payload) = read_frame(&mut stream)? {
+    let mut reader = BufReader::new(stream);
+    while let Some(payload) = read_frame(&mut reader)? {
         let response = match Request::decode(&payload) {
             Ok(request) => requester.request(request),
             Err(e) => Response::Error(e.to_string()),
         };
-        write_frame(&mut stream, &response.encode())?;
+        response.encoder().write_frame(&mut stream)?;
         if engine.is_draining() {
             break;
         }
@@ -100,7 +103,9 @@ fn serve_connection(engine: &ServeEngine, mut stream: &UnixStream) -> io::Result
 /// A blocking client for the daemon's Unix socket.
 #[derive(Debug)]
 pub struct UnixClient {
-    stream: UnixStream,
+    /// The connection, read through a buffer; requests are written to
+    /// the inner stream directly.
+    stream: BufReader<UnixStream>,
     path: PathBuf,
 }
 
@@ -119,7 +124,7 @@ impl UnixClient {
             match UnixStream::connect(path) {
                 Ok(stream) => {
                     return Ok(UnixClient {
-                        stream,
+                        stream: BufReader::new(stream),
                         path: path.to_path_buf(),
                     })
                 }
@@ -154,7 +159,7 @@ impl UnixClient {
     /// Propagates transport failures; a daemon that closed the connection
     /// mid-exchange surfaces as [`io::ErrorKind::UnexpectedEof`].
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
-        write_frame(&mut self.stream, &request.encode())?;
+        request.encoder().write_frame(&mut self.stream.get_ref())?;
         match read_frame(&mut self.stream)? {
             Some(payload) => Ok(Response::decode(&payload)?),
             None => Err(io::Error::new(

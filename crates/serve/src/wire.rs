@@ -17,26 +17,37 @@ use std::io::{self, Read, Write};
 /// are rejected on both ends rather than trusted.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
-/// Writes one length-prefixed frame.
+/// Bytes of the `u32` length prefix in front of every payload.
+const PREFIX_LEN: usize = 4;
+
+/// Payload bytes [`read_frame`] commits before any of them arrive: frames
+/// up to this size land in one allocation, and larger ones grow only as
+/// bytes arrive.
+const READ_RESERVE: usize = 64 << 10;
+
+/// Writes one length-prefixed frame with a single `write_all`, so the
+/// peer never wakes to a prefix whose payload has not been sent yet.
+/// Copies `payload` once behind the prefix; encoders write their frame
+/// in place with [`Enc::write_frame`] instead.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; rejects payloads over [`MAX_FRAME_LEN`] with
 /// [`io::ErrorKind::InvalidData`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    let mut e = Enc::with_capacity(payload.len());
+    e.buf.extend_from_slice(payload);
+    e.write_frame(w)
 }
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary (the peer closed the connection between requests).
+///
+/// The payload buffer grows with the bytes that actually arrive, not with
+/// the declared length, so a peer that sends only a large prefix costs
+/// the reader at most `READ_RESERVE` (64 KiB). Pass a buffered reader
+/// (`BufReader`) so a small frame costs one `read` syscall rather than
+/// two.
 ///
 /// # Errors
 ///
@@ -44,9 +55,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// [`MAX_FRAME_LEN`] is [`io::ErrorKind::InvalidData`] /
 /// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
+    let mut len_bytes = [0u8; PREFIX_LEN];
     let mut filled = 0usize;
-    while filled < 4 {
+    while filled < PREFIX_LEN {
         match r.read(&mut len_bytes[filled..]) {
             Ok(0) => {
                 if filled == 0 {
@@ -66,8 +77,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer only as bytes arrive: each step asks for at most as
+    // many bytes as have already arrived (and at least READ_RESERVE), so
+    // the buffer never outgrows twice what the peer has actually sent.
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        let step = (len - start).min(start.max(READ_RESERVE));
+        payload.resize(start + step, 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     Ok(Some(payload))
 }
 
@@ -89,10 +108,19 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// Append-only payload encoder.
-#[derive(Debug, Default)]
+/// Append-only payload encoder. The buffer starts with room for the
+/// frame's length prefix, so [`Enc::write_frame`] sends prefix and payload
+/// in one `write` without copying the payload.
+#[derive(Debug)]
 pub struct Enc {
+    /// `PREFIX_LEN` reserved bytes, then the payload.
     buf: Vec<u8>,
+}
+
+impl Default for Enc {
+    fn default() -> Self {
+        Enc::with_capacity(0)
+    }
 }
 
 impl Enc {
@@ -105,14 +133,36 @@ impl Enc {
     /// pre-reserved — used by the batch verbs, whose payload size is known
     /// up front, to keep frame encoding to a single allocation.
     pub fn with_capacity(bytes: usize) -> Self {
-        Enc {
-            buf: Vec::with_capacity(bytes),
-        }
+        let mut buf = Vec::with_capacity(PREFIX_LEN + bytes);
+        buf.extend_from_slice(&[0; PREFIX_LEN]);
+        Enc { buf }
     }
 
     /// Consumes the encoder, yielding the payload bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.drain(..PREFIX_LEN);
         self.buf
+    }
+
+    /// Consumes the encoder, writing its payload as one length-prefixed
+    /// frame with a single `write_all` (one `write` call unless the
+    /// writer accepts only part of it).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors; rejects payloads over [`MAX_FRAME_LEN`] with
+    /// [`io::ErrorKind::InvalidData`].
+    pub fn write_frame<W: Write>(mut self, w: &mut W) -> io::Result<()> {
+        let len = self.buf.len() - PREFIX_LEN;
+        if len > MAX_FRAME_LEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds MAX_FRAME_LEN"),
+            ));
+        }
+        self.buf[..PREFIX_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+        w.write_all(&self.buf)?;
+        w.flush()
     }
 
     /// Appends one byte (tags, small enums).
@@ -266,6 +316,95 @@ mod tests {
         e.u32(100);
         let bytes = e.into_bytes();
         assert!(Dec::new(&bytes).str().is_err());
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        // A prefix written on its own wakes the peer before the payload
+        // exists; prefix and payload must leave in the same `write`.
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, b"alpha").unwrap();
+        assert_eq!(w.writes, 1, "write_frame made {} writes", w.writes);
+        let mut e = Enc::new();
+        e.u64(7);
+        e.str("beta");
+        e.write_frame(&mut w).unwrap();
+        assert_eq!(w.writes, 2, "Enc::write_frame made more than one write");
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 3, "an empty payload is still one write");
+
+        let mut cur = io::Cursor::new(w.bytes);
+        assert_eq!(
+            read_frame(&mut cur).unwrap().as_deref(),
+            Some(&b"alpha"[..])
+        );
+        let second = read_frame(&mut cur).unwrap().unwrap();
+        let mut d = Dec::new(&second);
+        assert_eq!(d.u64().unwrap(), 7);
+        assert_eq!(d.str().unwrap(), "beta");
+        assert!(d.is_empty());
+        assert_eq!(read_frame(&mut cur).unwrap().as_deref(), Some(&b""[..]));
+        assert_eq!(read_frame(&mut cur).unwrap(), None);
+    }
+
+    /// A reader that yields `data` and then EOF, recording the largest
+    /// buffer any `read` call was handed.
+    struct WidestRead {
+        data: io::Cursor<Vec<u8>>,
+        widest: usize,
+    }
+
+    impl Read for WidestRead {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_bare_max_length_prefix_does_not_allocate_the_frame() {
+        // A peer that declares a MAX_FRAME_LEN payload and sends nothing
+        // must not make the reader commit a 16 MiB buffer.
+        let mut r = WidestRead {
+            data: io::Cursor::new((MAX_FRAME_LEN as u32).to_le_bytes().to_vec()),
+            widest: 0,
+        };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.widest <= READ_RESERVE,
+            "a read was handed {} bytes for a frame with no payload",
+            r.widest
+        );
+
+        // Frames larger than the up-front reservation still arrive whole.
+        let big: Vec<u8> = (0..3 * READ_RESERVE + 5).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &big).unwrap();
+        let mut r = WidestRead {
+            data: io::Cursor::new(buf),
+            widest: 0,
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), Some(big));
     }
 
     #[test]

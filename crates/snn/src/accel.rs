@@ -45,14 +45,15 @@
 //! too (PR 10), because the cross-query batched kernel reuses them
 //! verbatim over lane-major `[lanes × n]` state — dispatching the single-
 //! and multi-lane paths through the *same* functions makes their
-//! per-element bit-identity true by construction.
+//! per-element bit-identity true by construction. `lif_step` became the
+//! fused `lif_tick` (injection, step and theta decay in one pass).
 //! This module re-exports everything unchanged and keeps only the kernels
-//! with SNN-specific shapes (expected-drive accumulation, theta-gap
-//! readout, column-strided normalization).
+//! with SNN-specific shapes (row sums of the weight matrix, expected-drive
+//! accumulation, theta-gap readout, column-strided normalization).
 
 pub use pathfinder_accel::{active_tier, CpuCapabilities, KernelTier};
 pub(crate) use pathfinder_accel::{
-    add_assign, lif_step, masked_add_uniform, masked_scaled_add, scale_in_place, LifStepParams,
+    add_assign, lif_tick, masked_add_uniform, masked_scaled_add, scale_in_place, LifStepParams,
 };
 
 // ---------------------------------------------------------------------------
@@ -87,20 +88,63 @@ pub(crate) fn div_by_theta_gap(tier: KernelTier, scores: &mut [f32], thetas: &[f
     }
 }
 
+/// `out[j] = 0 + w[r0][j] + w[r1][j] + …` over the rows of an input-major
+/// weight matrix (`weights[r * n + j]`) listed in `rows`, added in that
+/// order — one tick's synaptic drive from its spiking inputs. The AVX2
+/// kernel keeps up to 64 column accumulators in registers across every
+/// row and stores once; each column still sees the scalar loop's adds in
+/// the same order, so the sums are bitwise the scalar ones.
+///
+/// # Panics
+///
+/// Panics if `out.len() != n`, the matrix is ragged, or a row index is
+/// out of range.
+#[inline]
+pub(crate) fn sum_rows(
+    tier: KernelTier,
+    weights: &[f32],
+    n: usize,
+    rows: &[usize],
+    out: &mut [f32],
+) {
+    sum_rows_iter(tier, weights, n, rows.iter().copied(), out);
+}
+
+/// [`sum_rows`] over any re-iterable row sequence (the AVX2 kernel walks
+/// `rows` once per 64-column block).
+fn sum_rows_iter<I>(tier: KernelTier, weights: &[f32], n: usize, rows: I, out: &mut [f32])
+where
+    I: Iterator<Item = usize> + Clone,
+{
+    assert!(n > 0, "accel: n_cols must be positive");
+    assert_eq!(weights.len() % n, 0, "accel: ragged weight matrix");
+    assert_eq!(out.len(), n, "accel: slice length mismatch");
+    let n_rows = weights.len() / n;
+    assert!(rows.clone().all(|r| r < n_rows), "accel: row out of range");
+    match tier {
+        KernelTier::Scalar => {
+            out.fill(0.0);
+            for r in rows {
+                add_assign(tier, out, &weights[r * n..(r + 1) * n]);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `add_assign`; every row index was checked above.
+        KernelTier::Avx2 => unsafe { avx2::sum_rows(weights, n, rows, out) },
+    }
+}
+
 /// Per-column sums of an input-major weight matrix (`weights[i * n_cols
-/// + j]`), written into `out` (cleared and resized to `n_cols`). Columns
-/// accumulate row by row — the same ascending-`i` order as a strided
-/// column walk, so the sums are bit-identical to
-/// `DiehlCookNetwork::column_weights(j).sum()`.
+/// + j]`), written into `out` (cleared and resized to `n_cols`): the
+/// [`sum_rows`] of every row. Columns accumulate row by row — the same
+/// ascending-`i` order as a strided column walk, so the sums are
+/// bit-identical to `DiehlCookNetwork::column_weights(j).sum()`.
 #[inline]
 pub(crate) fn column_sums(tier: KernelTier, weights: &[f32], n_cols: usize, out: &mut Vec<f32>) {
     assert!(n_cols > 0, "accel: n_cols must be positive");
-    assert_eq!(weights.len() % n_cols, 0, "accel: ragged weight matrix");
     out.clear();
     out.resize(n_cols, 0.0);
-    for row in weights.chunks_exact(n_cols) {
-        add_assign(tier, out, row);
-    }
+    sum_rows_iter(tier, weights, n_cols, 0..weights.len() / n_cols, out);
 }
 
 /// Scales column `j` of an input-major weight matrix by `scales[j]`,
@@ -177,6 +221,72 @@ mod avx2 {
             i += LANES;
         }
         super::scaled_add_assign_scalar(&mut dst[i..], &src[i..], k);
+    }
+
+    /// Columns one register block of [`sum_rows`] covers.
+    const BLOCK_COLS: usize = 8 * LANES;
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sum_rows<I>(weights: &[f32], n: usize, rows: I, out: &mut [f32])
+    where
+        I: Iterator<Item = usize> + Clone,
+    {
+        let lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut col = 0;
+        while col < n {
+            let width = (n - col).min(BLOCK_COLS);
+            let regs = width.div_ceil(LANES);
+            // The block's last register loads and stores only the columns
+            // that exist (the 2-column tail of a 50-wide row, say).
+            let tail = (width - (regs - 1) * LANES) as i32;
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail), lane_ids);
+            let w = weights.as_ptr().add(col);
+            let o = out.as_mut_ptr().add(col);
+            let rows = rows.clone();
+            match regs {
+                1 => sum_block::<1, I>(w, n, rows, mask, o),
+                2 => sum_block::<2, I>(w, n, rows, mask, o),
+                3 => sum_block::<3, I>(w, n, rows, mask, o),
+                4 => sum_block::<4, I>(w, n, rows, mask, o),
+                5 => sum_block::<5, I>(w, n, rows, mask, o),
+                6 => sum_block::<6, I>(w, n, rows, mask, o),
+                7 => sum_block::<7, I>(w, n, rows, mask, o),
+                _ => sum_block::<8, I>(w, n, rows, mask, o),
+            }
+            col += width;
+        }
+    }
+
+    /// `R` column accumulators held in YMM registers across every row;
+    /// register `R - 1` is masked to the block's real columns.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sum_block<const R: usize, I: Iterator<Item = usize>>(
+        w: *const f32,
+        n: usize,
+        rows: I,
+        mask: __m256i,
+        out: *mut f32,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); R];
+        for r in rows {
+            let row = w.add(r * n);
+            for (k, a) in acc.iter_mut().enumerate() {
+                let x = if k + 1 < R {
+                    _mm256_loadu_ps(row.add(k * LANES))
+                } else {
+                    _mm256_maskload_ps(row.add(k * LANES), mask)
+                };
+                *a = _mm256_add_ps(*a, x);
+            }
+        }
+        for (k, a) in acc.iter().enumerate() {
+            if k + 1 < R {
+                _mm256_storeu_ps(out.add(k * LANES), *a);
+            } else {
+                _mm256_maskstore_ps(out.add(k * LANES), mask, *a);
+            }
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -261,8 +371,12 @@ mod tests {
         }
     }
 
+    /// Widths straddling the 8-lane and 64-column block boundaries,
+    /// including the paper-default population of 50.
+    const TICK_WIDTHS: [usize; 10] = [1, 7, 8, 9, 31, 32, 33, 50, 64, 67];
+
     #[test]
-    fn lif_step_is_bitwise_identical_across_tiers() {
+    fn lif_tick_is_bitwise_identical_across_tiers() {
         let p = LifStepParams {
             v_rest: -65.0,
             decay: 0.99,
@@ -271,37 +385,151 @@ mod tests {
             refractory: 5,
         };
         let mut rng = StdRng::seed_from_u64(11);
-        for n in [1usize, 7, 8, 9, 24, 50] {
+        for n in TICK_WIDTHS {
             // Potentials spanning rest-to-above-threshold so some lanes
             // spike, plus a mix of refractory counters.
             let v0 = rand_vec(&mut rng, n, -70.0, -45.0);
             let theta0 = rand_vec(&mut rng, n, 0.0, 5.0);
             let refrac0: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..3)).collect();
+            let drive = rand_vec(&mut rng, n, -1.0, 4.0);
 
             let run = |tier: KernelTier| {
                 let mut v = v0.clone();
                 let mut refrac = refrac0.clone();
+                let mut theta = theta0.clone();
                 let mut spikes = Vec::new();
                 let mut all_spikes = Vec::new();
-                // Several ticks so reset/refractory state feeds back.
-                for _ in 0..6 {
-                    lif_step(tier, &mut v, &mut refrac, &theta0, p, &mut spikes);
+                // Several ticks, alternating `drive` between `Some` and
+                // `None`, so reset/refractory/theta state feeds back.
+                for tick in 0..8 {
+                    let d = (tick % 2 == 0).then_some(drive.as_slice());
+                    lif_tick(
+                        tier,
+                        &mut v,
+                        &mut refrac,
+                        &mut theta,
+                        d,
+                        2.1,
+                        p,
+                        0.9999,
+                        &mut spikes,
+                    );
+                    assert!(spikes.windows(2).all(|w| w[0] < w[1]), "unsorted spikes");
                     all_spikes.push(spikes.clone());
                 }
-                let bits: Vec<u32> = v.iter().map(|x| x.to_bits()).collect();
-                (bits, refrac, all_spikes)
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                (bits(&v), bits(&theta), refrac, all_spikes)
             };
 
             let scalar = run(KernelTier::Scalar);
+            assert!(
+                scalar.3.iter().any(|s| !s.is_empty()) || n < 8,
+                "nothing fired (n={n})"
+            );
             #[cfg(target_arch = "x86_64")]
             if KernelTier::Avx2.supported() {
-                let simd = run(KernelTier::Avx2);
-                assert_eq!(scalar.0, simd.0, "potentials diverged (n={n})");
-                assert_eq!(scalar.1, simd.1, "refractory state diverged (n={n})");
-                assert_eq!(scalar.2, simd.2, "spike trains diverged (n={n})");
+                assert_eq!(scalar, run(KernelTier::Avx2), "tiers diverged (n={n})");
             }
-            // Sanity: something fired in at least one configuration.
-            let _ = scalar;
+        }
+    }
+
+    #[test]
+    fn lif_tick_matches_inject_step_decay_passes() {
+        // The fused pass against the three passes it replaces, run back to
+        // back on the scalar tier: masked injection (skipped without
+        // drive), the step against the pre-decay theta, then the decay.
+        let p = LifStepParams {
+            v_rest: -65.0,
+            decay: 0.99,
+            v_thresh: -52.0,
+            v_reset: -60.0,
+            refractory: 5,
+        };
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in TICK_WIDTHS {
+            let v0 = rand_vec(&mut rng, n, -70.0, -45.0);
+            let theta0 = rand_vec(&mut rng, n, 0.0, 5.0);
+            let refrac0: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..3)).collect();
+            let drive = rand_vec(&mut rng, n, -1.0, 4.0);
+            for d in [Some(drive.as_slice()), None] {
+                let (mut v, mut refrac, mut theta) = (v0.clone(), refrac0.clone(), theta0.clone());
+                let mut spikes = Vec::new();
+                lif_tick(
+                    KernelTier::Scalar,
+                    &mut v,
+                    &mut refrac,
+                    &mut theta,
+                    d,
+                    2.1,
+                    p,
+                    0.999,
+                    &mut spikes,
+                );
+
+                let (mut v2, mut refrac2, mut theta2) =
+                    (v0.clone(), refrac0.clone(), theta0.clone());
+                if let Some(d) = d {
+                    masked_scaled_add(KernelTier::Scalar, &mut v2, &refrac2, d, 2.1);
+                }
+                let mut want = Vec::new();
+                for i in 0..n {
+                    if refrac2[i] > 0 {
+                        refrac2[i] -= 1;
+                        continue;
+                    }
+                    v2[i] = p.v_rest + (v2[i] - p.v_rest) * p.decay;
+                    if v2[i] >= p.v_thresh + theta2[i] {
+                        want.push(i);
+                        v2[i] = p.v_reset;
+                        refrac2[i] = p.refractory;
+                    }
+                }
+                scale_in_place(KernelTier::Scalar, &mut theta2, 0.999);
+
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(spikes, want, "spikes (n={n})");
+                assert_eq!(bits(&v), bits(&v2), "potentials (n={n})");
+                assert_eq!(bits(&theta), bits(&theta2), "thetas (n={n})");
+                assert_eq!(refrac, refrac2, "refractory state (n={n})");
+            }
+        }
+    }
+
+    #[test]
+    fn sum_rows_is_bitwise_identical_across_tiers() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let n_rows = 40;
+        for n in TICK_WIDTHS {
+            let weights = rand_vec(&mut rng, n_rows * n, 0.0, 0.3);
+            // No rows, one row, and many rows in ascending order (the
+            // order a tick's input spikes come in), plus the full matrix.
+            let many: Vec<usize> = (0..n_rows)
+                .filter(|_| rng.gen_range(0u32..3) == 0)
+                .collect();
+            let all: Vec<usize> = (0..n_rows).collect();
+            for rows in [vec![], vec![n_rows - 1], many, all] {
+                let run = |tier: KernelTier| {
+                    // Poisoned output: the kernel must overwrite every column.
+                    let mut out = vec![f32::NAN; n];
+                    sum_rows(tier, &weights, n, &rows, &mut out);
+                    out.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
+                };
+                // The loop `present` ran before the kernel existed.
+                let mut want = vec![0.0f32; n];
+                for &r in &rows {
+                    add_assign(KernelTier::Scalar, &mut want, &weights[r * n..(r + 1) * n]);
+                }
+                let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(
+                    run(KernelTier::Scalar),
+                    want,
+                    "scalar (n={n}, rows={rows:?})"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if KernelTier::Avx2.supported() {
+                    assert_eq!(run(KernelTier::Avx2), want, "avx2 (n={n}, rows={rows:?})");
+                }
+            }
         }
     }
 

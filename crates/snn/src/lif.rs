@@ -1,7 +1,7 @@
 //! A vectorized population of leaky-integrate-and-fire neurons.
 //!
-//! The bulk operations (`inject_all`, `inject_uniform`, `step`,
-//! `decay_theta_by`) dispatch through [`crate::accel`]: each layer captures
+//! The bulk operations (`tick`, `step`, `inject_uniform`, `decay_theta`)
+//! dispatch through [`crate::accel`]: each layer captures
 //! a [`KernelTier`] at construction and routes its hot loops to the scalar
 //! or AVX2 kernels accordingly. The tiers are bit-identical (see the
 //! `accel` module docs), so the choice is invisible to everything but the
@@ -22,8 +22,9 @@ pub struct LifLayer {
     /// Adaptive threshold offsets (Diehl & Cook theta); all-zero unless
     /// [`LifLayer::bump_theta`] is used.
     theta: Vec<f32>,
-    /// Precomputed per-tick decay factor `exp(-dt / tc_decay)`.
-    decay: f32,
+    /// The tick kernel's parameters, with the per-tick decay factor
+    /// `exp(-dt / tc_decay)` precomputed.
+    params: LifStepParams,
     /// The kernel tier the bulk operations dispatch to.
     tier: KernelTier,
 }
@@ -61,7 +62,13 @@ impl LifLayer {
             v: vec![config.v_rest; n],
             refrac: vec![0; n],
             theta: vec![0.0; n],
-            decay: (-1.0 / config.tc_decay).exp(),
+            params: LifStepParams {
+                v_rest: config.v_rest,
+                decay: (-1.0 / config.tc_decay).exp(),
+                v_thresh: config.v_thresh,
+                v_reset: config.v_reset,
+                refractory: config.refractory,
+            },
             tier,
         }
     }
@@ -86,6 +93,11 @@ impl LifLayer {
         &self.config
     }
 
+    /// The tick kernel's parameters (shared with the frozen batch kernel).
+    pub(crate) fn tick_params(&self) -> LifStepParams {
+        self.params
+    }
+
     /// Current membrane potentials.
     pub fn potentials(&self) -> &[f32] {
         &self.v
@@ -106,21 +118,6 @@ impl LifLayer {
         }
     }
 
-    /// Bulk injection: adds `currents[i] * gain` to every non-refractory
-    /// neuron in one contiguous pass. This is the event-driven kernel's
-    /// replacement for per-synapse [`LifLayer::inject`] calls — the caller
-    /// accumulates a tick's synaptic drive into a scratch buffer and lands
-    /// it on the membrane in a single sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `currents.len()` differs from the population size.
-    #[inline]
-    pub fn inject_all(&mut self, currents: &[f32], gain: f32) {
-        assert_eq!(currents.len(), self.v.len(), "drive buffer length");
-        accel::masked_scaled_add(self.tier, &mut self.v, &self.refrac, currents, gain);
-    }
-
     /// Injects the same `current` into every non-refractory neuron. Batched
     /// lateral inhibition uses this for the population-wide term, then adds
     /// each firing neuron's own contribution back with [`LifLayer::inject`].
@@ -129,27 +126,36 @@ impl LifLayer {
         accel::masked_add_uniform(self.tier, &mut self.v, &self.refrac, current);
     }
 
-    /// Advances one tick: decays potentials toward rest, decrements
-    /// refractory timers, and collects spikes into `spikes_out` (indices of
-    /// neurons that crossed threshold, in ascending order). Spiking neurons
-    /// reset and enter their refractory period.
-    pub fn step(&mut self, spikes_out: &mut Vec<usize>) {
-        let c = &self.config;
-        let p = LifStepParams {
-            v_rest: c.v_rest,
-            decay: self.decay,
-            v_thresh: c.v_thresh,
-            v_reset: c.v_reset,
-            refractory: c.refractory,
-        };
-        accel::lif_step(
+    /// One fused tick: injects `drive[i] * gain` into every non-refractory
+    /// neuron (when `drive` is given), decays potentials toward rest,
+    /// decrements refractory timers, collects spikes into `spikes_out`
+    /// (ascending; judged against the thresholds before this tick's decay),
+    /// then multiplies every adaptive threshold by `theta_decay`. Spiking
+    /// neurons reset and enter their refractory period.
+    pub fn tick(
+        &mut self,
+        drive: Option<&[f32]>,
+        gain: f32,
+        theta_decay: f32,
+        spikes_out: &mut Vec<usize>,
+    ) {
+        accel::lif_tick(
             self.tier,
             &mut self.v,
             &mut self.refrac,
-            &self.theta,
-            p,
+            &mut self.theta,
+            drive,
+            gain,
+            self.params,
+            theta_decay,
             spikes_out,
         );
+    }
+
+    /// Advances one tick with no injection and no theta decay (a
+    /// `theta_decay` of `1.0` leaves the thresholds' bits unchanged).
+    pub fn step(&mut self, spikes_out: &mut Vec<usize>) {
+        self.tick(None, 0.0, 1.0, spikes_out);
     }
 
     /// Raises neuron `i`'s adaptive threshold by `theta_plus`.
@@ -158,18 +164,9 @@ impl LifLayer {
     }
 
     /// Decays all adaptive thresholds by `exp(-dt/tc)`; called once per tick
-    /// for excitatory populations.
+    /// for excitatory populations by the reference kernel.
     pub fn decay_theta(&mut self, tc_theta: f32) {
-        self.decay_theta_by((-1.0 / tc_theta).exp());
-    }
-
-    /// Multiplies every adaptive threshold by a precomputed decay factor.
-    /// The event-driven presentation kernel hoists the `exp` in
-    /// [`LifLayer::decay_theta`] out of the per-tick path and passes the
-    /// cached factor here instead.
-    #[inline]
-    pub fn decay_theta_by(&mut self, factor: f32) {
-        accel::scale_in_place(self.tier, &mut self.theta, factor);
+        accel::scale_in_place(self.tier, &mut self.theta, (-1.0 / tc_theta).exp());
     }
 
     /// Resets potentials and refractory state (not theta) for the next input
@@ -297,23 +294,24 @@ mod tests {
         let mut spikes_a = Vec::new();
         let mut spikes_b = Vec::new();
         for tick in 0..20 {
+            let drive = (tick % 4 != 3).then_some(currents.as_slice());
+            native.tick(drive, 2.1, 0.999, &mut spikes_a);
+            scalar.tick(drive, 2.1, 0.999, &mut spikes_b);
+            assert_eq!(spikes_a, spikes_b, "spikes diverged at tick {tick}");
             for l in [&mut native, &mut scalar] {
-                l.inject_all(&currents, 2.1);
                 l.inject_uniform(if tick % 3 == 0 { -4.0 } else { 0.5 });
             }
-            native.step(&mut spikes_a);
-            scalar.step(&mut spikes_b);
-            assert_eq!(spikes_a, spikes_b, "spikes diverged at tick {tick}");
             for &j in &spikes_a {
                 native.bump_theta(j, 0.05);
                 scalar.bump_theta(j, 0.05);
             }
-            native.decay_theta_by(0.999);
-            scalar.decay_theta_by(0.999);
         }
         let a: Vec<u32> = native.potentials().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = scalar.potentials().iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b, "potentials must be bitwise identical across tiers");
+        let a: Vec<u32> = native.thetas().iter().map(|v| v.to_bits()).collect();
+        let b: Vec<u32> = scalar.thetas().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(a, b, "thetas must be bitwise identical across tiers");
     }
 
     #[test]

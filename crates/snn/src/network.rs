@@ -5,9 +5,10 @@
 //!
 //! The presentation hot path is an *event-driven* kernel that visits only
 //! live state: each tick samples just the active inputs (spike
-//! probabilities hoisted per presentation), accumulates the spiking inputs'
-//! weight rows into a reusable per-neuron buffer landed on the membrane in
-//! one [`LifLayer::inject_all`] pass, and batches lateral inhibition as
+//! probabilities hoisted per presentation), sums the spiking inputs' weight
+//! rows in registers into a reusable per-neuron buffer, lands it on the
+//! membrane in the same [`LifLayer::tick`] pass that steps the population
+//! and decays theta, and batches lateral inhibition as
 //! `total spike drive − own contribution`. The inhibitory layer's only
 //! effect is that suppression, so its population is not stepped. STDP
 //! decays and scans only the traces that can be non-zero (active inputs,
@@ -446,22 +447,21 @@ impl DiehlCookNetwork {
                 &mut s.input_spikes,
             );
 
-            // 2. Event-driven synaptic propagation: accumulate each spiking
-            //    input's weight row into the per-neuron drive buffer (one
-            //    contiguous add-pass per spike), then land the tick's total
-            //    drive on the membrane in a single bulk injection.
-            if !s.input_spikes.is_empty() {
-                s.drive.fill(0.0);
-                for &i in &s.input_spikes {
-                    let row = &self.weights[i * n_exc..(i + 1) * n_exc];
-                    accel::add_assign(self.tier, &mut s.drive, row);
-                }
-                self.exc.inject_all(&s.drive, gain);
-            }
-
-            // 3. Advance the excitatory population.
-            self.exc.step(&mut s.exc_spikes);
-            self.exc.decay_theta_by(self.theta_decay);
+            // 2-3. Sum the spiking inputs' weight rows (ascending input
+            //    order), then one fused pass injects that drive, advances
+            //    the excitatory population and decays theta.
+            let drive = (!s.input_spikes.is_empty()).then(|| {
+                accel::sum_rows(
+                    self.tier,
+                    &self.weights,
+                    n_exc,
+                    &s.input_spikes,
+                    &mut s.drive,
+                );
+                &s.drive[..]
+            });
+            self.exc
+                .tick(drive, gain, self.theta_decay, &mut s.exc_spikes);
 
             // 4. Lateral inhibition, batched: each firing excitatory neuron
             //    suppresses every *other* excitatory neuron, which is a
@@ -924,13 +924,7 @@ impl DiehlCookNetwork {
         s.input_bitmap.clear();
         s.input_bitmap.resize(n_input.div_ceil(64), 0);
 
-        let p = accel::LifStepParams {
-            v_rest: self.cfg.exc_lif.v_rest,
-            decay: (-1.0 / self.cfg.exc_lif.tc_decay).exp(),
-            v_thresh: self.cfg.exc_lif.v_thresh,
-            v_reset: self.cfg.exc_lif.v_reset,
-            refractory: self.cfg.exc_lif.refractory,
-        };
+        let p = self.exc.tick_params();
         let gain = self.cfg.input_gain;
         let inh_strength = self.cfg.inh_strength;
         let theta_plus = self.cfg.theta_plus;
@@ -994,7 +988,7 @@ impl DiehlCookNetwork {
                     }
                 }
                 // Land each spiked lane's drive on its own membrane slice
-                // — the event kernel's `inject_all`, lane by lane.
+                // — the event kernel's masked injection, lane by lane.
                 let mut m = spiked_lanes;
                 while m != 0 {
                     let l = m.trailing_zeros() as usize;
@@ -1011,20 +1005,21 @@ impl DiehlCookNetwork {
                 }
             }
 
-            // Integrate every lane of every neuron in one full-width call;
-            // spikes come out in ascending flat order, i.e. grouped by
-            // lane with ascending neuron index inside each group. Theta
-            // then decays across the whole block — per element, the event
-            // kernel's step-then-decay sequence.
-            accel::lif_step(
+            // Integrate every lane of every neuron and decay theta in one
+            // full-width fused pass (drive already landed above); spikes
+            // come out in ascending flat order, i.e. grouped by lane with
+            // ascending neuron index inside each group.
+            accel::lif_tick(
                 self.tier,
                 &mut s.v,
                 &mut s.refrac,
-                &s.theta,
+                &mut s.theta,
+                None,
+                gain,
                 p,
+                self.theta_decay,
                 &mut s.spikes,
             );
-            accel::scale_in_place(self.tier, &mut s.theta, self.theta_decay);
 
             // Lateral inhibition + firer bookkeeping, one lane group at a
             // time: the lane's uniform `-k × inh` suppression, each

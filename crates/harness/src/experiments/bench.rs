@@ -11,11 +11,11 @@
 //! pair, the churn-shaped learning cell (`prefetcher.pathfinder.churn`:
 //! 32 fresh duty-cycled streams of 256 accesses), the flat-layout timed replay vs the retained reference engine
 //! (`sim.replay.{demand,prefetch,e2e}` plus `sim.replay.e2e.reference`),
-//! the replay engine's dispatched vs forced-scalar tier pair
-//! (`sim.replay.e2e.simd` / `sim.replay.e2e.scalar`), the serve daemon's
-//! stream-serving throughput at widening concurrency
+//! the serve daemon's stream-serving throughput at widening concurrency
 //! (`serve.throughput.{1,64,1024}streams`, sustained aggregate
-//! accesses/sec through the in-process engine), and one end-to-end
+//! accesses/sec through the in-process engine), the duty-cycled serving
+//! template one access per request (`serve.throughput.single`) and in
+//! `access_batch` frames (`serve.throughput.batch{16,256}`), and one end-to-end
 //! report cell), then emits the results as `BENCH_pr21.json` (the
 //! `--bench-out` default): suite → median ns/op + throughput, the
 //! dispatched kernel tier, plus a telemetry snapshot of the end-to-end
@@ -26,8 +26,8 @@
 //! and the process exits nonzero when any suite regressed by more than the
 //! `--threshold` percentage. When the baseline records a different
 //! `kernel_tier` than the current run dispatches to (e.g. an AVX2-recorded
-//! baseline gated on a scalar-only host), the tier-sensitive `snn.*`,
-//! `sim.*`, and `serve.*` suites are skipped rather than spuriously flagged — see
+//! baseline gated on a scalar-only host), the tier-sensitive `snn.*` and
+//! `serve.*` suites are skipped rather than spuriously flagged — see
 //! [`compare_to_baseline`]. CI's `perf-smoke` job runs exactly this (see
 //! `.github/workflows/ci.yml` and EXPERIMENTS.md § "Benchmark gate").
 //!
@@ -123,16 +123,12 @@ pub struct BenchReport {
     /// presentation (the PR-6 acceptance figure). Exactly 1.0-ish on
     /// hosts whose dispatched tier *is* scalar — check `kernel_tier`.
     pub snn_simd_speedup: f64,
-    /// Median-speedup of the batched serving hot path
-    /// (`serve.throughput.batch16`: `access_batch` frames on one
-    /// requester, duty-cycled serving template) over the single-access
-    /// serve path (`serve.throughput.1streams`), per access.
+    /// Median-speedup of 16-access `access_batch` frames
+    /// (`serve.throughput.batch16`) over one access per request
+    /// (`serve.throughput.single`), per access: one stream on one
+    /// requester under the same duty-cycled serving template, so framing
+    /// is the only difference.
     pub serve_batch_speedup: f64,
-    /// Paired-median speedup of the dispatched replay engine over the
-    /// pinned-scalar tier on the end-to-end cell's trace and schedule (the
-    /// PR-7 acceptance figure). ~1.0 on scalar-dispatched hosts — check
-    /// `kernel_tier`.
-    pub sim_simd_speedup: f64,
     /// Paired-median speedup of one 32-lane `present_frozen_batch` call
     /// over 32 one-lane `present_frozen_batch` calls on an identically
     /// trained twin network (the PR-10 acceptance figure; target ≥ 1.3x).
@@ -513,36 +509,6 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
     suites.push(flat_e2e);
     suites.push(ref_e2e);
 
-    // The sim tier pair (PR 7): the same flat engine through the
-    // dispatched tier (AVX2 tag/victim/queue scans where detected) and
-    // pinned to the scalar fallback, on the same trace and schedule as the
-    // e2e pair above. The integer kernels are bit-identical across tiers
-    // (pinned by `sim/tests/engine_equivalence.rs` under
-    // `PATHFINDER_FORCE_SCALAR`), so the paired ratio isolates pure scan
-    // cost. ~1.0 on hosts whose dispatched tier is already scalar — the
-    // report's `kernel_tier` field says which case this was.
-    let (sim_simd_suite, sim_scalar_suite, sim_simd_speedup) = measure_ratio(
-        "sim.replay.e2e.simd",
-        "sim.replay.e2e.scalar",
-        15,
-        replay_trace.len() as u64,
-        || {
-            black_box(
-                Simulator::new(scenario.sim)
-                    .run(black_box(&replay_trace), black_box(&replay_schedule)),
-            );
-        },
-        || {
-            black_box(
-                Simulator::with_kernel_tier(scenario.sim, KernelTier::Scalar)
-                    .expect("scalar tier is supported everywhere")
-                    .run(black_box(&replay_trace), black_box(&replay_schedule)),
-            );
-        },
-    );
-    suites.push(sim_simd_suite);
-    suites.push(sim_scalar_suite);
-
     // --- Serve daemon throughput: concurrent streams over lock stripes. ---
     // The same trace is partitioned round-robin over N live streams and
     // pushed through an in-process ServeEngine (4 stripes) by 4 client
@@ -593,22 +559,43 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
     }
 
     // --- Batched serving hot path: `access_batch` frames on one
-    // requester. The single-access cells above keep the default always-on
-    // template for baseline continuity; the batch cells run the
-    // configuration the service is built for — STDP duty-cycled (paper §5,
-    // first 250 of every 5000 accesses) with the frozen-query cache on —
-    // where per-access inference is cheap enough that framing and
-    // round-trip overhead dominate, which is exactly what batching
-    // amortizes. One stream, one requester thread: each frame's records
-    // run back-to-back as one grouped inference run on the calling thread,
-    // under the stream's stripe lock. The
-    // derived `serve_batch_vs_single_speedup` compares the PR-8-style
-    // single-access path against this full batched serving stack.
+    // requester. The concurrency cells above keep the default always-on
+    // template for baseline continuity; these cells run the configuration
+    // the service is built for — STDP duty-cycled (paper §5, first 250 of
+    // every 5000 accesses) with the frozen-query cache on — where
+    // per-access inference is cheap enough that framing and round-trip
+    // overhead dominate, which is exactly what batching amortizes. One
+    // stream, one requester thread: each frame's records run back-to-back
+    // as one grouped inference run on the calling thread, under the
+    // stream's stripe lock. `serve.throughput.single` sends the same
+    // accesses one `Access` request each, so the derived
+    // `serve_batch_vs_single_speedup` compares like with like.
     let serving_template = || {
         let mut t = StreamTemplate::default();
         t.config.stdp_duty = StdpDutyCycle::first_n_of_5000(250);
         t
     };
+    let record = |a: &MemoryAccess| AccessRecord {
+        instr_id: a.instr_id,
+        pc: a.pc.0,
+        vaddr: a.vaddr.0,
+        depends_on_prev: a.depends_on_prev,
+    };
+    suites.push(measure(
+        "serve.throughput.single",
+        7,
+        micro_trace.len() as u64,
+        || {
+            let engine = ServeEngine::with_template(serving_template(), 4);
+            let mut requester = engine.requester();
+            for a in micro_trace.iter() {
+                black_box(requester.request(Request::Access {
+                    stream: 0,
+                    access: record(a),
+                }));
+            }
+        },
+    ));
     for &(name, frame) in &[
         ("serve.throughput.batch16", 16usize),
         ("serve.throughput.batch256", 256),
@@ -617,20 +604,8 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
             let engine = ServeEngine::with_template(serving_template(), 4);
             let mut requester = engine.requester();
             for chunk in micro_trace.accesses().chunks(frame) {
-                let accesses: Vec<(u64, AccessRecord)> = chunk
-                    .iter()
-                    .map(|a| {
-                        (
-                            0u64,
-                            AccessRecord {
-                                instr_id: a.instr_id,
-                                pc: a.pc.0,
-                                vaddr: a.vaddr.0,
-                                depends_on_prev: a.depends_on_prev,
-                            },
-                        )
-                    })
-                    .collect();
+                let accesses: Vec<(u64, AccessRecord)> =
+                    chunk.iter().map(|a| (0u64, record(a))).collect();
                 black_box(requester.request(Request::AccessBatch { accesses }));
             }
         }));
@@ -667,7 +642,7 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         median("prefetcher.pathfinder.steady") / median("prefetcher.pathfinder.cached");
     let sim_replay_speedup = replay_ratio;
     let serve_batch_speedup =
-        median("serve.throughput.1streams") / median("serve.throughput.batch16");
+        median("serve.throughput.single") / median("serve.throughput.batch16");
 
     BenchReport {
         opts: *opts,
@@ -676,7 +651,6 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         pathfinder_cached_speedup,
         sim_replay_speedup,
         snn_simd_speedup,
-        sim_simd_speedup,
         serve_batch_speedup,
         frozen_batch_speedup,
         kernel_tier: pathfinder_snn::active_tier().name(),
@@ -756,8 +730,6 @@ impl BenchReport {
         json::write_f64(&mut out, self.sim_replay_speedup);
         out.push_str(",\"snn_present32_simd_vs_scalar_speedup\":");
         json::write_f64(&mut out, self.snn_simd_speedup);
-        out.push_str(",\"sim_replay_simd_vs_scalar_speedup\":");
-        json::write_f64(&mut out, self.sim_simd_speedup);
         out.push_str(",\"serve_batch_vs_single_speedup\":");
         json::write_f64(&mut out, self.serve_batch_speedup);
         out.push_str(",\"frozen_batch_vs_singleton_speedup\":");
@@ -802,11 +774,7 @@ impl BenchReport {
             self.kernel_tier, self.snn_simd_speedup
         ));
         out.push_str(&format!(
-            "Replay engine: dispatched scans are {:.2}x the pinned-scalar tier\n",
-            self.sim_simd_speedup
-        ));
-        out.push_str(&format!(
-            "Serve daemon: batched hot path (access_batch x16, sticky, duty-cycled) is {:.2}x the single-access path\n",
+            "Serve daemon: access_batch x16 frames are {:.2}x one access per request (one stream, duty-cycled)\n",
             self.serve_batch_speedup
         ));
         out.push_str(&format!(
@@ -856,8 +824,7 @@ pub struct BaselineComparison {
     /// documents, which compare everything).
     pub baseline_tier: Option<String>,
     /// Whether the baseline's tier differs from the current run's — when
-    /// true, the tier-sensitive `snn.*`, `sim.*`, and `serve.*` suites
-    /// were skipped.
+    /// true, the tier-sensitive `snn.*` and `serve.*` suites were skipped.
     pub tier_mismatch: bool,
     /// Names of suites excluded from the gate by the tier mismatch.
     pub skipped: Vec<String>,
@@ -870,14 +837,14 @@ pub struct BaselineComparison {
 /// both runs measured).
 ///
 /// When the baseline records a `kernel_tier` different from the current
-/// run's, every `snn.*`, `sim.*`, and `serve.*` suite is excluded from the
-/// gate and listed in [`BaselineComparison::skipped`] instead: an
-/// AVX2-recorded median is not a meaningful bound for a scalar-dispatched
-/// run (or vice versa), and flagging the tier difference as a "regression"
-/// would gate on hardware, not code. (Since PR 7 the replay engine's tag,
-/// victim, and queue scans dispatch by tier too, and the serve daemon's
-/// streams run SNN inference on every access, so both families are as
-/// tier-sensitive as the SNN kernels.) Baselines without the field
+/// run's, every `snn.*` and `serve.*` suite is excluded from the gate and
+/// listed in [`BaselineComparison::skipped`] instead: an AVX2-recorded
+/// median is not a meaningful bound for a scalar-dispatched run (or vice
+/// versa), and flagging the tier difference as a "regression" would gate
+/// on hardware, not code. (The serve daemon's streams run SNN inference
+/// on every access, so they are as tier-sensitive as the SNN kernels.
+/// The replay engine has no kernel tier, so `sim.*` gates on every
+/// host.) Baselines without the field
 /// (written before tiers existed) compare everything, preserving the old
 /// behaviour.
 ///
@@ -905,11 +872,7 @@ pub fn compare_to_baseline(
     let mut deltas = Vec::new();
     let mut skipped = Vec::new();
     for s in &report.suites {
-        if tier_mismatch
-            && (s.name.starts_with("snn.")
-                || s.name.starts_with("sim.")
-                || s.name.starts_with("serve."))
-        {
+        if tier_mismatch && (s.name.starts_with("snn.") || s.name.starts_with("serve.")) {
             skipped.push(s.name.to_string());
             continue;
         }
@@ -1004,11 +967,10 @@ mod tests {
             "sim.replay.prefetch",
             "sim.replay.e2e",
             "sim.replay.e2e.reference",
-            "sim.replay.e2e.simd",
-            "sim.replay.e2e.scalar",
             "serve.throughput.1streams",
             "serve.throughput.64streams",
             "serve.throughput.1024streams",
+            "serve.throughput.single",
             "serve.throughput.batch16",
             "serve.throughput.batch256",
             "e2e.report_cell",
@@ -1021,7 +983,6 @@ mod tests {
         assert!(rep.pathfinder_cached_speedup.is_finite() && rep.pathfinder_cached_speedup > 0.0);
         assert!(rep.sim_replay_speedup.is_finite() && rep.sim_replay_speedup > 0.0);
         assert!(rep.snn_simd_speedup.is_finite() && rep.snn_simd_speedup > 0.0);
-        assert!(rep.sim_simd_speedup.is_finite() && rep.sim_simd_speedup > 0.0);
         assert!(rep.frozen_batch_speedup.is_finite() && rep.frozen_batch_speedup > 0.0);
         assert_eq!(rep.kernel_tier, pathfinder_snn::active_tier().name());
 
@@ -1077,11 +1038,6 @@ mod tests {
             .and_then(|d| d.get("snn_present32_simd_vs_scalar_speedup"))
             .and_then(json::Value::as_f64)
             .is_some());
-        assert!(doc
-            .get("derived")
-            .and_then(|d| d.get("sim_replay_simd_vs_scalar_speedup"))
-            .and_then(json::Value::as_f64)
-            .is_some());
 
         let text = rep.render_text();
         assert!(text.contains("snn.present32.event"));
@@ -1131,47 +1087,58 @@ mod tests {
     fn baseline_gate_skips_tier_sensitive_suites_on_tier_mismatch() {
         let rep = tiny_report();
         // Fabricate a baseline recorded on a different tier with absurdly
-        // fast tier-sensitive medians: without the tier skip every snn.*,
-        // sim.*, and serve.* suite would be flagged, with it none are
-        // compared.
+        // fast snn.*, sim.*, and serve.* medians: the tier skip keeps the
+        // snn.* and serve.* suites out of the gate, while the tier-free
+        // sim.* suites are still compared and flagged.
         let mut other = rep.clone();
         other.kernel_tier = if rep.kernel_tier == "scalar" {
             "avx2"
         } else {
             "scalar"
         };
+        let tier_sensitive = |n: &str| n.starts_with("snn.") || n.starts_with("serve.");
         for s in &mut other.suites {
-            if s.name.starts_with("snn.")
-                || s.name.starts_with("sim.")
-                || s.name.starts_with("serve.")
-            {
+            if tier_sensitive(s.name) || s.name.starts_with("sim.") {
                 s.median_ns /= 1000.0;
             }
         }
         let cmp = compare_to_baseline(&rep, &other.to_json(), 40.0).unwrap();
         assert!(cmp.tier_mismatch);
         assert_eq!(cmp.baseline_tier.as_deref(), Some(other.kernel_tier));
+        let want_skipped: Vec<&str> = rep
+            .suites
+            .iter()
+            .map(|s| s.name)
+            .filter(|n| tier_sensitive(n))
+            .collect();
         assert!(
-            !cmp.skipped.is_empty()
-                && cmp.skipped.iter().all(|n| {
-                    n.starts_with("snn.") || n.starts_with("sim.") || n.starts_with("serve.")
-                }),
-            "exactly the snn.*, sim.*, and serve.* suites are skipped: {:?}",
-            cmp.skipped
+            want_skipped.iter().any(|n| n.starts_with("snn."))
+                && want_skipped.iter().any(|n| n.starts_with("serve.")),
+            "both tier-sensitive families are measured: {want_skipped:?}"
+        );
+        assert_eq!(cmp.skipped, want_skipped, "exactly snn.* and serve.* skip");
+        let sim: Vec<&BaselineDelta> = cmp
+            .deltas
+            .iter()
+            .filter(|d| d.name.starts_with("sim."))
+            .collect();
+        assert_eq!(
+            sim.len(),
+            rep.suites
+                .iter()
+                .filter(|s| s.name.starts_with("sim."))
+                .count(),
+            "every sim.* suite gates across tiers"
         );
         assert!(
-            cmp.skipped.iter().any(|n| n.starts_with("snn."))
-                && cmp.skipped.iter().any(|n| n.starts_with("sim."))
-                && cmp.skipped.iter().any(|n| n.starts_with("serve.")),
-            "all three tier-sensitive families are excluded: {:?}",
-            cmp.skipped
+            sim.iter().all(|d| d.regressed),
+            "a 1000x-faster sim.* baseline is flagged on a tier mismatch"
         );
         assert!(
-            cmp.deltas.iter().all(|d| !d.name.starts_with("snn.")
-                && !d.name.starts_with("sim.")
-                && !d.name.starts_with("serve.")
-                && !d.regressed),
-            "tier-insensitive suites still gate, and none regress against itself"
+            cmp.deltas
+                .iter()
+                .all(|d| !tier_sensitive(&d.name) && (d.name.starts_with("sim.") || !d.regressed)),
+            "suites outside snn.*/sim.*/serve.* still gate, and none regress against itself"
         );
         let rendered = render_deltas(&cmp, 40.0);
         assert!(rendered.contains("skipped"), "note surfaces the skip");

@@ -26,17 +26,11 @@
 //! buffers are allocated once at construction — no allocation ever happens
 //! during replay.
 //!
-//! Both hot scans — the tag lookup and the LRU victim min-scan — dispatch
-//! through [`pathfinder_accel`]'s [`KernelTier`], captured once at
-//! construction ([`Cache::with_tier`]): on AVX2 hosts a whole 4-lane
-//! `u64` vector of tags is compared per step (`_mm256_cmpeq_epi64` +
-//! movemask) and the victim scan is a lane-wise min reduction keeping the
-//! first minimum. The integer kernels are bit-identical to the scalar
-//! walks for every input (see the `pathfinder-accel` crate docs), so the
-//! reference-equivalence proptests pin both tiers with no tolerance
-//! machinery, and `PATHFINDER_FORCE_SCALAR` pins dispatch for CI.
+//! Both hot scans — the tag lookup and the LRU victim min-scan — are
+//! plain scalar walks over one set's contiguous `u64`s (at most 16 ways
+//! in Table 3). They stay scalar because replay time goes to DRAM and ROB
+//! timing arithmetic: AVX2 scans measured 0.97–1.05× end to end.
 
-use pathfinder_accel::{self as accel, KernelTier};
 use pathfinder_telemetry as telemetry;
 
 use crate::addr::Block;
@@ -151,9 +145,6 @@ pub struct CacheStats {
 pub struct Cache {
     config: CacheConfig,
     level: CacheLevel,
-    /// The kernel tier the tag and victim scans dispatch to, captured at
-    /// construction.
-    tier: KernelTier,
     /// Packed `(block << 1) | valid` words, set-major: line `w` of set `s`
     /// lives at `s * ways + w`. The only array the lookup scan touches.
     tags: Box<[u64]>,
@@ -194,42 +185,19 @@ impl Cache {
     /// Creates an empty cache that attributes `sim.<level>.{hits,misses}`
     /// telemetry to this level: [`Cache::demand_access`] tallies into the
     /// stats fields and [`Cache::flush_telemetry`] publishes the totals.
-    /// Scans dispatch to the process-wide [`accel::active_tier`].
     ///
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
     pub fn labeled(config: CacheConfig, level: CacheLevel) -> Self {
-        Cache::with_tier(config, level, accel::active_tier())
-    }
-
-    /// Creates an empty cache with an explicit [`KernelTier`] for its tag
-    /// and victim scans. The tiers are bit-identical (see the
-    /// `pathfinder-accel` contract), so this exists for tier-pinning tests
-    /// and benchmarks — production code should call [`Cache::new`] or
-    /// [`Cache::labeled`], which capture the detected tier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sets` or `ways` is zero, or if `tier` is not supported
-    /// on this host (`tier.supported()` is false) — running SIMD kernels
-    /// without their CPU feature would be undefined behaviour, so
-    /// construction refuses.
-    pub fn with_tier(config: CacheConfig, level: CacheLevel, tier: KernelTier) -> Self {
         assert!(
             config.sets > 0 && config.ways > 0,
             "cache must be non-empty"
-        );
-        assert!(
-            tier.supported(),
-            "kernel tier {:?} is not supported on this host",
-            tier
         );
         let lines = config.sets * config.ways;
         Cache {
             config,
             level,
-            tier,
             tags: vec![TAG_INVALID; lines].into_boxed_slice(),
             lru: vec![0; lines].into_boxed_slice(),
             fill_info: vec![0; lines].into_boxed_slice(),
@@ -274,11 +242,6 @@ impl Cache {
         self.set_index(block) * self.config.ways
     }
 
-    /// The kernel tier this cache's scans dispatch to.
-    pub fn kernel_tier(&self) -> KernelTier {
-        self.tier
-    }
-
     /// Scans the block's set; returns the line index on a match. Valid tags
     /// are packed odd and invalid lines hold the even `TAG_INVALID`, so the
     /// packed needle can never alias an invalid line — one dense equality
@@ -287,7 +250,9 @@ impl Cache {
     fn find(&self, block: Block) -> Option<usize> {
         let base = self.set_base(block);
         let packed = pack_tag(block);
-        accel::find_eq_u64(self.tier, &self.tags[base..base + self.config.ways], packed)
+        self.tags[base..base + self.config.ways]
+            .iter()
+            .position(|&t| t == packed)
             .map(|w| base + w)
     }
 
@@ -409,11 +374,14 @@ impl Cache {
         // Victim: first invalid line if any, else the LRU line. Invalid
         // lines hold stamp 0 and valid lines hold >= 1 (struct invariant),
         // so both cases are one dense min-scan of the stamp array — no tag
-        // reads, no branches on validity. `min_index_u64` keeps the *first*
-        // minimum on every tier, matching the reference cache's
-        // `min_by_key`.
-        let victim_way = accel::min_index_u64(self.tier, &self.lru[base..base + self.config.ways]);
-        let victim = base + victim_way;
+        // reads, no branches on validity. The strict `<` keeps the *first*
+        // minimum, matching the reference cache's `min_by_key`.
+        let mut victim = base;
+        for w in base + 1..base + self.config.ways {
+            if self.lru[w] < self.lru[victim] {
+                victim = w;
+            }
+        }
         let evicted = if self.tags[victim] != TAG_INVALID {
             if self.fill_info[victim] & 1 == 1 {
                 self.stats.useless_evictions += 1;
@@ -652,30 +620,5 @@ mod tests {
             let evicted = c.fill(Block(blk + 8 * 5), false, 0);
             assert_eq!(evicted, Some(Block(blk)));
         }
-    }
-
-    #[test]
-    fn scalar_and_active_tiers_replay_identically() {
-        // Scalar construction always succeeds, `new` captures the active
-        // tier, and a mixed fill/access/invalidate tape produces identical
-        // results and stats on both — the bit-identity contract.
-        let cfg = CacheConfig::new(4, 3, 1); // 3 ways: SIMD tail exercised
-        let mut simd = Cache::new(cfg);
-        let mut scalar = Cache::with_tier(cfg, CacheLevel::Unlabeled, KernelTier::Scalar);
-        assert_eq!(scalar.kernel_tier(), KernelTier::Scalar);
-        assert_eq!(simd.kernel_tier(), accel::active_tier());
-        for step in 0u64..200 {
-            let blk = Block((step * 7) % 23);
-            match step % 4 {
-                0 => assert_eq!(
-                    simd.fill(blk, step % 8 == 0, step),
-                    scalar.fill(blk, step % 8 == 0, step)
-                ),
-                1 | 2 => assert_eq!(simd.demand_access(blk), scalar.demand_access(blk)),
-                _ => assert_eq!(simd.invalidate(blk), scalar.invalidate(blk)),
-            }
-        }
-        assert_eq!(simd.stats(), scalar.stats());
-        assert_eq!(simd.occupancy(), scalar.occupancy());
     }
 }

@@ -5,7 +5,6 @@
 //! read queue. The model answers a single question for the replay engine:
 //! *given a block request arriving at cycle `t`, when does its data return?*
 
-use pathfinder_accel::{self as accel, KernelTier};
 use pathfinder_telemetry as telemetry;
 
 use crate::addr::Block;
@@ -87,8 +86,6 @@ pub struct DramModel {
     /// [`DramConfig::prefetch_headroom`] clamped below the queue size at
     /// construction, so an idle queue can always accept a prefetch.
     prefetch_headroom: usize,
-    /// Kernel tier the queue-drain min scan dispatches to.
-    tier: KernelTier,
     bus_free_at: u64,
     stats: DramStats,
     /// Per-depth occupancy tally for the `sim.dram.queue_depth` histogram:
@@ -105,24 +102,8 @@ pub struct DramModel {
 }
 
 impl DramModel {
-    /// Creates an idle DRAM model, with min scans on the process-wide
-    /// [`accel::active_tier`].
+    /// Creates an idle DRAM model.
     pub fn new(config: DramConfig) -> Self {
-        DramModel::with_tier(config, accel::active_tier())
-    }
-
-    /// [`DramModel::new`] with an explicit [`KernelTier`] — for
-    /// tier-pinning tests and benchmarks; tiers are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tier` is not supported on this host.
-    pub fn with_tier(config: DramConfig, tier: KernelTier) -> Self {
-        assert!(
-            tier.supported(),
-            "kernel tier {:?} is not supported on this host",
-            tier
-        );
         let banks = vec![
             Bank {
                 open_row: None,
@@ -156,7 +137,6 @@ impl DramModel {
             prefetch_headroom: config
                 .prefetch_headroom
                 .min(config.read_queue_size.saturating_sub(1)),
-            tier,
             bus_free_at: 0,
             stats: DramStats::default(),
             depth_counts: vec![0; config.read_queue_size + 1].into_boxed_slice(),
@@ -172,10 +152,9 @@ impl DramModel {
             return;
         }
         self.inflight.retain(|&c| c > now);
-        // Recompute the cached minimum over the survivors in one vector
-        // scan (u64 min is order-insensitive, so this is identical to
-        // folding inside the retain; `u64::MAX` when the queue emptied).
-        self.inflight_earliest = accel::min_u64(self.tier, &self.inflight);
+        // Recompute the cached minimum over the survivors (`u64::MAX` when
+        // the queue emptied).
+        self.inflight_earliest = self.inflight.iter().copied().fold(u64::MAX, u64::min);
     }
 
     /// Accumulated statistics.
@@ -552,31 +531,6 @@ mod tests {
         assert_eq!(d.inflight.len(), 60);
         assert!(d.service_prefetch(Block(1_000_000), 0).is_none());
         assert_eq!(d.stats().prefetches_dropped, 1);
-    }
-
-    #[test]
-    fn scalar_and_active_tiers_agree_on_queue_drain() {
-        let cfg = small_cfg();
-        let mut simd = DramModel::new(cfg);
-        let mut scalar = DramModel::with_tier(cfg, KernelTier::Scalar);
-        let mut x = 7u64;
-        for i in 0..2_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let now = i / 3;
-            if x.is_multiple_of(4) {
-                assert_eq!(
-                    simd.service_prefetch(Block(x >> 40), now),
-                    scalar.service_prefetch(Block(x >> 40), now)
-                );
-            } else {
-                assert_eq!(
-                    simd.service_classified(Block(x >> 40), now),
-                    scalar.service_classified(Block(x >> 40), now)
-                );
-            }
-            assert_eq!(simd.inflight_earliest, scalar.inflight_earliest);
-        }
-        assert_eq!(simd.stats(), scalar.stats());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! file; the timed simulation then replays the trace, injecting each prefetch
 //! into the LLC when its trigger access executes.
 
-use pathfinder_accel::{self as accel, KernelTier};
 use pathfinder_telemetry as telemetry;
 
 use crate::access::{MemoryAccess, PrefetchRequest, Trace};
@@ -35,10 +34,6 @@ use crate::stats::{DetailedStats, SimReport};
 #[derive(Debug)]
 pub struct Simulator {
     config: SimConfig,
-    /// Kernel tier every component's scans dispatch to (captured at
-    /// construction and shared by the caches, MSHR tracker, and DRAM
-    /// model).
-    tier: KernelTier,
     l1d: Cache,
     l2: Cache,
     llc: Cache,
@@ -65,37 +60,16 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator with cold caches, dispatching every component's
-    /// hot scans to the process-wide [`accel::active_tier`].
+    /// Creates a simulator with cold caches.
     pub fn new(config: SimConfig) -> Self {
-        Simulator::build(config, accel::active_tier())
-    }
-
-    /// Creates a simulator pinned to an explicit [`KernelTier`], or an
-    /// error if that tier is unsupported on this host. The tiers are
-    /// bit-identical — this exists so benchmarks and tests can measure the
-    /// scalar baseline on SIMD-capable hosts, mirroring
-    /// `DiehlCookNetwork::with_kernel_tier` on the SNN side.
-    pub fn with_kernel_tier(config: SimConfig, tier: KernelTier) -> Result<Self, String> {
-        if !tier.supported() {
-            return Err(format!(
-                "kernel tier {:?} is not supported on this host",
-                tier
-            ));
-        }
-        Ok(Simulator::build(config, tier))
-    }
-
-    fn build(config: SimConfig, tier: KernelTier) -> Self {
         Simulator {
             config,
-            tier,
-            l1d: Cache::with_tier(config.l1d, CacheLevel::L1d, tier),
-            l2: Cache::with_tier(config.l2, CacheLevel::L2, tier),
-            llc: Cache::with_tier(config.llc, CacheLevel::Llc, tier),
-            dram: DramModel::with_tier(config.dram, tier),
+            l1d: Cache::labeled(config.l1d, CacheLevel::L1d),
+            l2: Cache::labeled(config.l2, CacheLevel::L2),
+            llc: Cache::labeled(config.llc, CacheLevel::Llc),
+            dram: DramModel::new(config.dram),
             rob: RobModel::new(config.core),
-            outstanding: MshrTracker::with_tier(config.core.mshrs, tier),
+            outstanding: MshrTracker::new(config.core.mshrs),
             report: SimReport::default(),
             occupancy_counts: vec![0; config.core.mshrs.max(1) + 1].into_boxed_slice(),
             mshr_stalls: 0,
@@ -107,11 +81,6 @@ impl Simulator {
     /// The configuration in use.
     pub fn config(&self) -> &SimConfig {
         &self.config
-    }
-
-    /// The kernel tier this simulator's components dispatch to.
-    pub fn kernel_tier(&self) -> KernelTier {
-        self.tier
     }
 
     /// Replays `trace` with the given prefetch schedule and returns the
@@ -640,28 +609,6 @@ mod tests {
         let report = Simulator::new(SimConfig::default()).run_with_warmup(&trace, &prefetches, 50);
         assert_eq!(report.prefetches_requested, 0);
         assert_eq!(report.prefetches_issued, 0);
-    }
-
-    #[test]
-    fn scalar_tier_replay_is_bit_identical() {
-        // The integer kernels are exactly identical across tiers, so a
-        // full replay — misses, oracle prefetches, MSHR pressure — must
-        // produce byte-equal reports on the pinned-scalar simulator.
-        let trace = miss_trace(1_500);
-        let accesses = trace.accesses();
-        let prefetches: Vec<PrefetchRequest> = accesses
-            .windows(2)
-            .map(|w| PrefetchRequest::new(w[0].instr_id, w[1].block()))
-            .collect();
-        let native = Simulator::new(SimConfig::default());
-        assert_eq!(native.kernel_tier(), accel::active_tier());
-        let scalar = Simulator::with_kernel_tier(SimConfig::default(), KernelTier::Scalar)
-            .expect("scalar tier is supported everywhere");
-        assert_eq!(scalar.kernel_tier(), KernelTier::Scalar);
-        let (a, da) = native.run_detailed(&trace, &prefetches);
-        let (b, db) = scalar.run_detailed(&trace, &prefetches);
-        assert_eq!(a, b);
-        assert_eq!(da, db);
     }
 
     #[test]

@@ -18,16 +18,11 @@
 //! when nothing has completed yet — the common case, and the one the
 //! heap's `peek` also served in O(1).
 //!
-//! The min scans dispatch through [`pathfinder_accel`]'s [`KernelTier`]
-//! (captured at construction, see [`MshrTracker::with_tier`]):
-//! [`MshrTracker::pop_earliest`] is a single two-smallest pass — the
+//! [`MshrTracker::pop_earliest`] is a single two-smallest pass: the
 //! runner-up *is* the post-removal minimum, since the second smallest
 //! value counting duplicates equals the min of the remainder after one
-//! first-minimum `swap_remove` — where it previously re-scanned the slots
-//! after removal. `u64` min is order-insensitive, so every tier is
-//! bit-identical and the BinaryHeap-semantics tape below pins them all.
-
-use pathfinder_accel::{self as accel, KernelTier};
+//! first-minimum `swap_remove`. The BinaryHeap-semantics tape below pins
+//! it.
 
 /// Completion cycles of outstanding demand misses, bounded by the MSHR
 /// count supplied at construction.
@@ -53,38 +48,19 @@ pub struct MshrTracker {
     /// Smallest live completion cycle (`u64::MAX` when empty), maintained
     /// so threshold drains can early-exit without scanning.
     earliest: u64,
-    /// Kernel tier the min scans dispatch to, captured at construction.
-    tier: KernelTier,
 }
 
 impl MshrTracker {
-    /// Creates an empty tracker for `mshrs` outstanding misses, with min
-    /// scans on the process-wide [`accel::active_tier`].
+    /// Creates an empty tracker for `mshrs` outstanding misses.
     ///
     /// A zero MSHR count still reserves one slot: the engine's stall logic
     /// ("pop the earliest completion when at capacity, then insert") keeps
     /// at most one entry live in that configuration.
     pub fn new(mshrs: usize) -> Self {
-        MshrTracker::with_tier(mshrs, accel::active_tier())
-    }
-
-    /// [`MshrTracker::new`] with an explicit [`KernelTier`] — for
-    /// tier-pinning tests and benchmarks; tiers are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tier` is not supported on this host.
-    pub fn with_tier(mshrs: usize, tier: KernelTier) -> Self {
-        assert!(
-            tier.supported(),
-            "kernel tier {:?} is not supported on this host",
-            tier
-        );
         MshrTracker {
             slots: vec![0; mshrs.max(1)].into_boxed_slice(),
             len: 0,
             earliest: u64::MAX,
-            tier,
         }
     }
 
@@ -122,10 +98,12 @@ impl MshrTracker {
                 i += 1;
             }
         }
-        // Recompute the cached minimum over the compacted survivors in one
-        // vector scan (u64 min is order-insensitive, so this is identical
-        // to folding during compaction; `u64::MAX` when all completed).
-        self.earliest = accel::min_u64(self.tier, &self.slots[..self.len]);
+        // Recompute the cached minimum over the compacted survivors
+        // (`u64::MAX` when all completed).
+        self.earliest = self.slots[..self.len]
+            .iter()
+            .copied()
+            .fold(u64::MAX, u64::min);
     }
 
     /// Removes and returns the earliest completion, if any.
@@ -141,7 +119,20 @@ impl MshrTracker {
         if self.len == 0 {
             return None;
         }
-        let (min_idx, done, runner_up) = accel::min2_index_u64(self.tier, &self.slots[..self.len]);
+        // Strictly smaller slots displace the minimum (so the first
+        // minimum's index is kept) and the displaced value — or any later
+        // duplicate of the minimum — races for runner-up.
+        let live = &self.slots[..self.len];
+        let (mut min_idx, mut done, mut runner_up) = (0, live[0], u64::MAX);
+        for (i, &x) in live.iter().enumerate().skip(1) {
+            if x < done {
+                runner_up = done;
+                done = x;
+                min_idx = i;
+            } else if x < runner_up {
+                runner_up = x;
+            }
+        }
         self.len -= 1;
         self.slots[min_idx] = self.slots[self.len];
         self.earliest = runner_up;
@@ -244,37 +235,6 @@ mod tests {
                 }
             }
             assert_eq!(tracker.len(), heap.len(), "diverged at step {step}");
-        }
-    }
-
-    #[test]
-    fn scalar_and_active_tiers_agree_on_a_random_tape() {
-        let mut simd = MshrTracker::new(32);
-        let mut scalar = MshrTracker::with_tier(32, KernelTier::Scalar);
-        assert_eq!(scalar.slots.len(), simd.slots.len());
-        let mut x = 0xD1B54A32D192ED03u64;
-        for _ in 0..2_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            match x % 3 {
-                0 => {
-                    if simd.len() < simd.capacity() {
-                        // Narrow range to force duplicate minima.
-                        let v = (x >> 32) % 17;
-                        simd.push(v);
-                        scalar.push(v);
-                    }
-                }
-                1 => assert_eq!(simd.pop_earliest(), scalar.pop_earliest()),
-                _ => {
-                    let now = (x >> 34) % 17;
-                    simd.drain_completed(now);
-                    scalar.drain_completed(now);
-                }
-            }
-            assert_eq!(simd.len(), scalar.len());
-            assert_eq!(simd.earliest, scalar.earliest);
         }
     }
 

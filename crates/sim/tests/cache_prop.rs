@@ -134,17 +134,15 @@ proptest! {
         assert_equivalent(config, &ops)?;
     }
 
-    /// Non-power-of-two way counts around the SIMD lane width: the tag and
-    /// victim scans run 4 `u64` lanes per vector step, so ways like 5 and
-    /// 13 leave scalar tails and ways below 4 never enter the vector body.
-    /// Every geometry must still match the reference exactly — including
-    /// first-minimum victim choice inside the tail.
+    /// Way counts that are odd or not powers of two (3, 5, 12, 13) beside
+    /// powers of two (4, 8). Every geometry must match the reference
+    /// exactly — including the first-minimum victim choice when several
+    /// lines share the minimum stamp.
     #[test]
-    fn simd_tail_way_counts_match_reference(
+    fn odd_way_counts_match_reference(
         ways_pick in 0usize..6,
         raw_ops in prop::collection::vec((0u64..8, 0u64..96, 0u64..10_000), 1..300),
     ) {
-        // 3: all-tail; 4/8: exact lane multiples; 5/12/13: vector + tail.
         let ways = [3usize, 4, 5, 8, 12, 13][ways_pick];
         let config = CacheConfig::new(4, ways, 1);
         let ops = decode(&raw_ops);

@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD kernels for the SNN hot loops.
+//! Runtime-dispatched SIMD kernels for the SNN hot loops — the only home
+//! of `std::arch` in the workspace.
 //!
 //! The presentation hot path spends nearly all of its time in a handful of
 //! dense f32 loops over the excitatory population (drive accumulation,
@@ -11,13 +12,41 @@
 //! or runs with the `PATHFINDER_FORCE_SCALAR` environment override set —
 //! fall back to the portable scalar loops.
 //!
+//! ## Single- and multi-lane state
+//!
+//! The LIF loops are elementwise over per-neuron state, so the *same*
+//! kernels serve a single presentation's `[n]` vectors (`LifLayer`) and
+//! the cross-query batched kernel's lane-major `[lanes × n]` blocks (lane
+//! `l`'s neurons are the contiguous slice `[l * n .. (l + 1) * n]`), where
+//! one call integrates every lane of every neuron. Dispatching both paths
+//! through the same functions makes their per-element bit-identity true by
+//! construction. Spike extraction in `lif_tick` emits ascending flat
+//! indices, which in the lane-major layout is grouped by lane with
+//! ascending neuron order inside each group — exactly the order the scalar
+//! singleton walk produces per lane.
+//!
+//! ## Two kinds of AVX2 kernel
+//!
+//! * **Compiled** (`scale_in_place`, `masked_scaled_add`,
+//!   `masked_add_uniform`, `scaled_add_assign`, `mul_assign`,
+//!   `div_by_theta_gap`): the AVX2 body is the `#[inline(always)]` scalar
+//!   loop compiled under `#[target_feature(enable = "avx2")]`, which the
+//!   compiler vectorizes. Hand-written intrinsics measured no faster.
+//! * **Hand-written** (`sum_rows`, `lif_tick`, `add_assign`):
+//!   register-resident column accumulators with a masked tail, movemask
+//!   spike extraction, and (`add_assign`) whole 8-lane steps on 50-wide
+//!   rows, where the compiled loop's 32-wide unrolling leaves an 18-element
+//!   remainder to 4-wide and scalar epilogues. Compiled, `add_assign` made
+//!   frozen presentations, which call it once per spiking input per lane,
+//!   about 5% slower.
+//!
 //! ## The bit-identity contract
 //!
 //! Every AVX2 kernel performs **exactly the same IEEE-754 operations per
 //! element, in the same order, as its scalar fallback**: multiplies and
-//! adds are kept as separate rounding steps (no FMA contraction), no
-//! reduction is re-associated (the per-column weight sums accumulate row
-//! by row, in the same order a strided column walk visits them), and
+//! adds are kept as separate rounding steps (Rust never contracts to FMA),
+//! no reduction is re-associated (the per-column weight sums accumulate
+//! row by row, in the same order a strided column walk visits them), and
 //! masked lanes preserve their input bits exactly. Dispatch therefore
 //! never changes results — not within a tolerance, but *bitwise* — which
 //! is what lets `crates/snn/tests/accel_equivalence.rs` pin the tiers
@@ -28,39 +57,287 @@
 //!
 //! Setting `PATHFINDER_FORCE_SCALAR` to anything other than `0`, `false`,
 //! or the empty string makes [`active_tier`] return [`KernelTier::Scalar`]
-//! regardless of CPU support. CI runs the SNN test suite once under this
+//! regardless of CPU support. CI runs the test suites once under this
 //! override so the scalar fallback stays equivalence-pinned even on AVX2
 //! runners. The variable is read once per process (the tier is cached in a
 //! `OnceLock`); changing it at runtime has no effect on networks already
 //! constructed or on later [`active_tier`] calls.
-//!
-//! ## Shared dispatch machinery
-//!
-//! The capability probe, tier enum, and override parsing started life in
-//! this module (PR 6) and now live in the workspace-shared
-//! [`pathfinder_accel`] crate, where the `sim` crate's integer replay
-//! kernels dispatch through the same types. The elementwise f32 kernels
-//! (`add_assign`, `scale_in_place`, `masked_scaled_add`,
-//! `masked_add_uniform`, `lif_step` and its `LifStepParams`) moved there
-//! too (PR 10), because the cross-query batched kernel reuses them
-//! verbatim over lane-major `[lanes × n]` state — dispatching the single-
-//! and multi-lane paths through the *same* functions makes their
-//! per-element bit-identity true by construction. `lif_step` became the
-//! fused `lif_tick` (injection, step and theta decay in one pass).
-//! This module re-exports everything unchanged and keeps only the kernels
-//! with SNN-specific shapes (row sums of the weight matrix, expected-drive
-//! accumulation, theta-gap readout, column-strided normalization).
 
-pub use pathfinder_accel::{active_tier, CpuCapabilities, KernelTier};
-pub(crate) use pathfinder_accel::{
-    add_assign, lif_tick, masked_add_uniform, masked_scaled_add, scale_in_place, LifStepParams,
-};
+use std::sync::OnceLock;
+
+/// The CPU features (and process-level overrides) relevant to kernel
+/// dispatch, probed once via [`CpuCapabilities::detect`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpuCapabilities {
+    /// Host supports AVX2 (256-bit lanes), per
+    /// `is_x86_feature_detected!("avx2")`. Always `false` off x86-64.
+    pub avx2: bool,
+    /// The `PATHFINDER_FORCE_SCALAR` environment override is active, which
+    /// pins dispatch to [`KernelTier::Scalar`] regardless of `avx2`.
+    pub force_scalar: bool,
+}
+
+impl CpuCapabilities {
+    /// Probes the host CPU and the process environment.
+    pub fn detect() -> Self {
+        CpuCapabilities {
+            avx2: avx2_available(),
+            force_scalar: force_scalar_from(
+                std::env::var("PATHFINDER_FORCE_SCALAR").ok().as_deref(),
+            ),
+        }
+    }
+
+    /// The kernel tier this capability set dispatches to: the widest
+    /// supported SIMD tier, unless `force_scalar` pins it to
+    /// [`KernelTier::Scalar`].
+    pub fn tier(self) -> KernelTier {
+        if self.force_scalar {
+            return KernelTier::Scalar;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            return KernelTier::Avx2;
+        }
+        KernelTier::Scalar
+    }
+}
+
+/// Whether the host CPU supports AVX2 (always `false` off x86-64).
+fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Parses the `PATHFINDER_FORCE_SCALAR` value: unset, empty, `0`, and
+/// `false` (any case) leave dispatch alone; anything else forces scalar.
+fn force_scalar_from(value: Option<&str>) -> bool {
+    match value {
+        None => false,
+        Some(v) => {
+            let v = v.trim();
+            !(v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false"))
+        }
+    }
+}
+
+/// Which kernel implementation a structure dispatches its hot loops to.
+///
+/// A tier is selected once per structure at construction (from
+/// [`active_tier`] by default, or explicitly via
+/// `LifLayer::with_tier` / `DiehlCookNetwork::with_kernel_tier`) and used
+/// for every operation that structure runs. Tiers are *behaviourally
+/// identical* — see the bit-identity contract in the [module
+/// docs](self).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelTier {
+    /// Portable scalar loops; always available, and the semantic baseline
+    /// the SIMD tiers are pinned against.
+    Scalar,
+    /// AVX2 kernels: 8-wide f32 lanes. Only constructible on hosts where
+    /// `is_x86_feature_detected!("avx2")` holds (checked constructors
+    /// refuse it elsewhere).
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl KernelTier {
+    /// Stable lowercase name for reports and bench documents
+    /// (`"scalar"` / `"avx2"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelTier::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => "avx2",
+        }
+    }
+
+    /// Whether the host CPU can execute this tier. [`KernelTier::Scalar`]
+    /// is always supported; SIMD tiers require their feature probe to
+    /// pass. Constructors that accept an explicit tier call this and
+    /// reject unsupported requests, which keeps "a tier value exists" from
+    /// ever implying "its instructions are safe to run here".
+    pub fn supported(self) -> bool {
+        match self {
+            KernelTier::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => is_x86_feature_detected!("avx2"),
+        }
+    }
+}
+
+/// The process-wide dispatch decision: [`CpuCapabilities::detect`]
+/// evaluated once and cached. The default constructors
+/// (`DiehlCookNetwork::new`, `LifLayer::new`) capture this value at
+/// construction.
+pub fn active_tier() -> KernelTier {
+    static TIER: OnceLock<KernelTier> = OnceLock::new();
+    *TIER.get_or_init(|| CpuCapabilities::detect().tier())
+}
 
 // ---------------------------------------------------------------------------
 // Dispatch wrappers. Each asserts slice-shape invariants once, then routes
 // to the scalar loop or (behind the capability check encoded in the tier's
-// construction) the AVX2 kernel.
+// construction) the AVX2 kernel. Every tier performs exactly the same
+// IEEE-754 operations per element, in the same order, so the tiers are
+// bit-identical for every input.
 // ---------------------------------------------------------------------------
+
+/// Parameters of one LIF integration tick, hoisted out of
+/// [`lif_tick`]'s lane loop.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LifStepParams {
+    /// Resting potential the membrane decays toward.
+    pub(crate) v_rest: f32,
+    /// Precomputed per-tick decay factor `exp(-1/tc_decay)`.
+    pub(crate) decay: f32,
+    /// Base firing threshold (the adaptive theta is added per neuron).
+    pub(crate) v_thresh: f32,
+    /// Potential after a spike.
+    pub(crate) v_reset: f32,
+    /// Refractory ticks after a spike.
+    pub(crate) refractory: u32,
+}
+
+/// `dst[i] += src[i]` — per-spike weight-row accumulation into a drive
+/// buffer (one call per `(spiking input, lane)` in the batched kernel, so
+/// a weight row loaded once is reused across every lane that spiked it).
+#[inline]
+pub(crate) fn add_assign(tier: KernelTier, dst: &mut [f32], src: &[f32]) {
+    assert_eq!(dst.len(), src.len(), "accel: slice length mismatch");
+    match tier {
+        KernelTier::Scalar => add_assign_scalar(dst, src),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an Avx2 tier is only constructed after a successful
+        // `is_x86_feature_detected!("avx2")` probe (see KernelTier docs).
+        KernelTier::Avx2 => unsafe { avx2::add_assign(dst, src) },
+    }
+}
+
+/// `xs[i] *= factor` — theta decay with a precomputed per-tick factor,
+/// over one neuron vector or the whole lane-major `[lanes × n]` block.
+#[inline]
+pub(crate) fn scale_in_place(tier: KernelTier, xs: &mut [f32], factor: f32) {
+    match tier {
+        KernelTier::Scalar => scale_in_place_scalar(xs, factor),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `add_assign`.
+        KernelTier::Avx2 => unsafe { avx2::scale_in_place(xs, factor) },
+    }
+}
+
+/// `v[i] += currents[i] * gain` for every non-refractory element
+/// (`refrac[i] == 0`) — bulk synaptic injection. Refractory elements keep
+/// their exact input bits.
+#[inline]
+pub(crate) fn masked_scaled_add(
+    tier: KernelTier,
+    v: &mut [f32],
+    refrac: &[u32],
+    currents: &[f32],
+    gain: f32,
+) {
+    assert_eq!(v.len(), refrac.len(), "accel: slice length mismatch");
+    assert_eq!(v.len(), currents.len(), "accel: slice length mismatch");
+    match tier {
+        KernelTier::Scalar => masked_scaled_add_scalar(v, refrac, currents, gain),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `add_assign`.
+        KernelTier::Avx2 => unsafe { avx2::masked_scaled_add(v, refrac, currents, gain) },
+    }
+}
+
+/// `v[i] += current` for every non-refractory element — the lateral-
+/// inhibition term of a single presentation.
+#[inline]
+pub(crate) fn masked_add_uniform(tier: KernelTier, v: &mut [f32], refrac: &[u32], current: f32) {
+    assert_eq!(v.len(), refrac.len(), "accel: slice length mismatch");
+    match tier {
+        KernelTier::Scalar => masked_add_uniform_scalar(v, refrac, current),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `add_assign`.
+        KernelTier::Avx2 => unsafe { avx2::masked_add_uniform(v, refrac, current) },
+    }
+}
+
+/// One fused LIF tick over a whole population (or every lane of one in
+/// the lane-major multi-lane layout), one pass per element:
+///
+/// 1. **inject** — with `drive = Some(d)`, every non-refractory element
+///    gets `v[i] += d[i] * gain` (mul then add, two roundings);
+/// 2. **step** — refractory elements count down and skip integration; the
+///    rest leak toward rest and fire when they cross `v_thresh + theta[i]`
+///    (the threshold *before* this tick's decay), resetting to `v_reset`
+///    and entering the refractory period;
+/// 3. **decay** — every threshold becomes `theta[i] * theta_decay`.
+///
+/// Per element these are exactly the IEEE-754 operations of a masked
+/// injection pass, a step pass and a decay pass run back to back, so the
+/// fused kernel is bitwise the three-pass sequence. A `theta_decay` of
+/// exactly `1.0` leaves every threshold's bits unchanged.
+///
+/// Spiking indices are appended to `spikes_out` (cleared first) in
+/// ascending order — the AVX2 path extracts them from the lane movemask
+/// lowest-lane-first, so the order matches the scalar walk exactly.
+/// Ascending flat order over a lane-major block is grouped by lane, i.e.
+/// each lane sees its own spikes in ascending neuron order.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn lif_tick(
+    tier: KernelTier,
+    v: &mut [f32],
+    refrac: &mut [u32],
+    theta: &mut [f32],
+    drive: Option<&[f32]>,
+    gain: f32,
+    p: LifStepParams,
+    theta_decay: f32,
+    spikes_out: &mut Vec<usize>,
+) {
+    assert_eq!(v.len(), refrac.len(), "accel: slice length mismatch");
+    assert_eq!(v.len(), theta.len(), "accel: slice length mismatch");
+    if let Some(d) = drive {
+        assert_eq!(v.len(), d.len(), "accel: slice length mismatch");
+    }
+    spikes_out.clear();
+    let k = TickConsts {
+        gain,
+        p,
+        theta_decay,
+    };
+    match (tier, drive) {
+        (KernelTier::Scalar, Some(d)) => {
+            lif_tick_scalar::<true>(v, refrac, theta, d, k, 0, spikes_out)
+        }
+        (KernelTier::Scalar, None) => {
+            lif_tick_scalar::<false>(v, refrac, theta, &[], k, 0, spikes_out)
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `add_assign`.
+        (KernelTier::Avx2, Some(d)) => unsafe {
+            avx2::lif_tick::<true>(v, refrac, theta, d, k, spikes_out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `add_assign`.
+        (KernelTier::Avx2, None) => unsafe {
+            avx2::lif_tick::<false>(v, refrac, theta, &[], k, spikes_out)
+        },
+    }
+}
+
+/// The scalar arguments of one [`lif_tick`], bundled for its kernels.
+#[derive(Clone, Copy)]
+struct TickConsts {
+    gain: f32,
+    p: LifStepParams,
+    theta_decay: f32,
+}
 
 /// `dst[i] += k * src[i]` — the expected-drive accumulation
 /// (`rate × weight-row`), kept as separate mul/add roundings.
@@ -172,55 +449,164 @@ pub(crate) fn scale_columns(tier: KernelTier, weights: &mut [f32], n_cols: usize
 }
 
 // ---------------------------------------------------------------------------
-// Scalar kernels — the semantic baseline. The AVX2 kernels below reuse
-// these for their non-multiple-of-8 tails.
+// Scalar kernels — the semantic baseline, and (compiled with AVX2 enabled)
+// most of the AVX2 kernels.
 // ---------------------------------------------------------------------------
 
+#[inline(always)]
+fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+#[inline(always)]
+fn scale_in_place_scalar(xs: &mut [f32], factor: f32) {
+    for x in xs {
+        *x *= factor;
+    }
+}
+
+#[inline(always)]
+fn masked_scaled_add_scalar(v: &mut [f32], refrac: &[u32], currents: &[f32], gain: f32) {
+    for ((v, &r), &c) in v.iter_mut().zip(refrac).zip(currents) {
+        if r == 0 {
+            *v += c * gain;
+        }
+    }
+}
+
+#[inline(always)]
+fn masked_add_uniform_scalar(v: &mut [f32], refrac: &[u32], current: f32) {
+    for (v, &r) in v.iter_mut().zip(refrac) {
+        if r == 0 {
+            *v += current;
+        }
+    }
+}
+
+#[inline(always)]
 fn scaled_add_assign_scalar(dst: &mut [f32], src: &[f32], k: f32) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += k * s;
     }
 }
 
+#[inline(always)]
 fn mul_assign_scalar(dst: &mut [f32], src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d *= s;
     }
 }
 
+#[inline(always)]
 fn div_by_theta_gap_scalar(scores: &mut [f32], thetas: &[f32], gap: f32) {
     for (d, &t) in scores.iter_mut().zip(thetas) {
         *d /= gap + t.max(0.0);
     }
 }
 
+/// The scalar fused tick; `INJECT` selects the drive injection (`drive`
+/// is unread without it), and `base` offsets pushed spike indices so the
+/// AVX2 kernel can reuse it for its tail lanes.
+fn lif_tick_scalar<const INJECT: bool>(
+    v: &mut [f32],
+    refrac: &mut [u32],
+    theta: &mut [f32],
+    drive: &[f32],
+    k: TickConsts,
+    base: usize,
+    spikes_out: &mut Vec<usize>,
+) {
+    let p = k.p;
+    for i in 0..v.len() {
+        let th = theta[i];
+        theta[i] = th * k.theta_decay;
+        if refrac[i] > 0 {
+            refrac[i] -= 1;
+            continue;
+        }
+        let mut x = v[i];
+        if INJECT {
+            x += drive[i] * k.gain;
+        }
+        x = p.v_rest + (x - p.v_rest) * p.decay;
+        if x >= p.v_thresh + th {
+            spikes_out.push(base + i);
+            x = p.v_reset;
+            refrac[i] = p.refractory;
+        }
+        v[i] = x;
+    }
+}
+
 // ---------------------------------------------------------------------------
-// AVX2 kernels. Each processes 8 lanes per iteration with the *same*
-// per-element operations as its scalar counterpart (separate mul/add
-// roundings, IEEE division, masked lanes untouched bitwise) and hands the
-// remainder to the scalar loop.
+// AVX2 kernels. Most are their scalar loops compiled with AVX2 enabled;
+// `add_assign`, `sum_rows` and `lif_tick` process 8 lanes per step by hand
+// with the *same* per-element operations as their scalar counterparts
+// (separate mul/add roundings, masked lanes untouched bitwise).
 // ---------------------------------------------------------------------------
 
+/// # Safety
+///
+/// Every function here requires a CPU with AVX2. The dispatch wrappers
+/// call them only for [`KernelTier::Avx2`], which exists only after the
+/// `is_x86_feature_detected!("avx2")` probe passed, and only after
+/// checking slice lengths (and, for `sum_rows`, every row index).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
+    use super::TickConsts;
+
     const LANES: usize = 8;
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scaled_add_assign(dst: &mut [f32], src: &[f32], k: f32) {
+    pub(super) unsafe fn add_assign(dst: &mut [f32], src: &[f32]) {
         let n = dst.len();
-        let kk = _mm256_set1_ps(k);
         let mut i = 0;
         while i + LANES <= n {
             let d = _mm256_loadu_ps(dst.as_ptr().add(i));
             let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            // mul then add as two roundings — no FMA, matching scalar.
-            let prod = _mm256_mul_ps(kk, s);
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, prod));
+            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
             i += LANES;
         }
-        super::scaled_add_assign_scalar(&mut dst[i..], &src[i..], k);
+        super::add_assign_scalar(&mut dst[i..], &src[i..]);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scale_in_place(xs: &mut [f32], factor: f32) {
+        super::scale_in_place_scalar(xs, factor)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn masked_scaled_add(
+        v: &mut [f32],
+        refrac: &[u32],
+        currents: &[f32],
+        gain: f32,
+    ) {
+        super::masked_scaled_add_scalar(v, refrac, currents, gain)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn masked_add_uniform(v: &mut [f32], refrac: &[u32], current: f32) {
+        super::masked_add_uniform_scalar(v, refrac, current)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scaled_add_assign(dst: &mut [f32], src: &[f32], k: f32) {
+        super::scaled_add_assign_scalar(dst, src, k)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mul_assign(dst: &mut [f32], src: &[f32]) {
+        super::mul_assign_scalar(dst, src)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn div_by_theta_gap(scores: &mut [f32], thetas: &[f32], gap: f32) {
+        super::div_by_theta_gap_scalar(scores, thetas, gap)
     }
 
     /// Columns one register block of [`sum_rows`] covers.
@@ -290,34 +676,80 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_assign(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len();
+    pub(super) unsafe fn lif_tick<const INJECT: bool>(
+        v: &mut [f32],
+        refrac: &mut [u32],
+        theta: &mut [f32],
+        drive: &[f32],
+        k: TickConsts,
+        spikes_out: &mut Vec<usize>,
+    ) {
+        let n = v.len();
+        let p = k.p;
+        let gain = _mm256_set1_ps(k.gain);
+        let theta_decay = _mm256_set1_ps(k.theta_decay);
+        let v_rest = _mm256_set1_ps(p.v_rest);
+        let decay = _mm256_set1_ps(p.decay);
+        let v_thresh = _mm256_set1_ps(p.v_thresh);
+        let v_reset = _mm256_set1_ps(p.v_reset);
+        let refr = _mm256_set1_epi32(p.refractory as i32);
+        let one = _mm256_set1_epi32(1);
         let mut i = 0;
         while i + LANES <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(d, s));
-            i += LANES;
-        }
-        super::mul_assign_scalar(&mut dst[i..], &src[i..]);
-    }
+            let r = _mm256_loadu_si256(refrac.as_ptr().add(i).cast());
+            let active = _mm256_cmpeq_epi32(r, _mm256_setzero_si256());
+            let active_ps = _mm256_castsi256_ps(active);
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn div_by_theta_gap(scores: &mut [f32], thetas: &[f32], gap: f32) {
-        let n = scores.len();
-        let g = _mm256_set1_ps(gap);
-        let zero = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + LANES <= n {
-            let d = _mm256_loadu_ps(scores.as_ptr().add(i));
-            let t = _mm256_loadu_ps(thetas.as_ptr().add(i));
-            // max(t, 0): theta is never NaN and never negative in this
-            // network, so lane semantics match scalar f32::max exactly.
-            let denom = _mm256_add_ps(g, _mm256_max_ps(t, zero));
-            _mm256_storeu_ps(scores.as_mut_ptr().add(i), _mm256_div_ps(d, denom));
+            // Inject on active lanes: v + drive * gain, two roundings.
+            let mut vv = _mm256_loadu_ps(v.as_ptr().add(i));
+            if INJECT {
+                let d = _mm256_loadu_ps(drive.as_ptr().add(i));
+                let bumped = _mm256_add_ps(vv, _mm256_mul_ps(d, gain));
+                vv = _mm256_blendv_ps(vv, bumped, active_ps);
+            }
+
+            // Leak toward rest on active lanes: v_rest + (v - v_rest) * decay.
+            let leaked = _mm256_add_ps(v_rest, _mm256_mul_ps(_mm256_sub_ps(vv, v_rest), decay));
+            let v_new = _mm256_blendv_ps(vv, leaked, active_ps);
+
+            // Spike where an active lane crosses v_thresh + theta (the
+            // pre-decay theta), then decay theta on every lane.
+            let th_raw = _mm256_loadu_ps(theta.as_ptr().add(i));
+            let th = _mm256_add_ps(v_thresh, th_raw);
+            let crossed = _mm256_cmp_ps::<_CMP_GE_OQ>(v_new, th);
+            let spike = _mm256_and_ps(crossed, active_ps);
+            _mm256_storeu_ps(
+                theta.as_mut_ptr().add(i),
+                _mm256_mul_ps(th_raw, theta_decay),
+            );
+
+            // Spiking lanes reset; refractory lanes count down; active
+            // non-spiking lanes keep refrac == 0 (blend keeps `r`).
+            let v_fin = _mm256_blendv_ps(v_new, v_reset, spike);
+            _mm256_storeu_ps(v.as_mut_ptr().add(i), v_fin);
+            let r_dec = _mm256_sub_epi32(r, one);
+            let r_keep = _mm256_blendv_epi8(r_dec, r, active);
+            let r_fin = _mm256_blendv_epi8(r_keep, refr, _mm256_castps_si256(spike));
+            _mm256_storeu_si256(refrac.as_mut_ptr().add(i).cast(), r_fin);
+
+            // Extract spiking lanes lowest-first so indices stay ascending.
+            let mut mask = _mm256_movemask_ps(spike) as u32;
+            while mask != 0 {
+                spikes_out.push(i + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
             i += LANES;
         }
-        super::div_by_theta_gap_scalar(&mut scores[i..], &thetas[i..], gap);
+        let tail = if INJECT { &drive[i..] } else { drive };
+        super::lif_tick_scalar::<INJECT>(
+            &mut v[i..],
+            &mut refrac[i..],
+            &mut theta[i..],
+            tail,
+            k,
+            i,
+            spikes_out,
+        );
     }
 }
 
@@ -327,23 +759,80 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    // (The dispatch-machinery tests — override parsing, forced-scalar
-    // precedence, tier support — moved to `pathfinder-accel` with the
-    // machinery itself; what stays here pins the f32 kernels.)
+    #[test]
+    fn force_scalar_parsing() {
+        assert!(!force_scalar_from(None));
+        assert!(!force_scalar_from(Some("")));
+        assert!(!force_scalar_from(Some("0")));
+        assert!(!force_scalar_from(Some("false")));
+        assert!(!force_scalar_from(Some("FALSE")));
+        assert!(!force_scalar_from(Some("  ")));
+        assert!(force_scalar_from(Some("1")));
+        assert!(force_scalar_from(Some("true")));
+        assert!(force_scalar_from(Some("yes")));
+    }
+
+    #[test]
+    fn forced_scalar_overrides_simd() {
+        let caps = CpuCapabilities {
+            avx2: true,
+            force_scalar: true,
+        };
+        assert_eq!(caps.tier(), KernelTier::Scalar);
+        let caps = CpuCapabilities {
+            avx2: false,
+            force_scalar: false,
+        };
+        assert_eq!(caps.tier(), KernelTier::Scalar);
+    }
+
+    #[test]
+    fn scalar_tier_is_always_supported() {
+        assert!(KernelTier::Scalar.supported());
+        assert_eq!(KernelTier::Scalar.name(), "scalar");
+        // The active tier is by construction executable on this host.
+        assert!(active_tier().supported());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_tier_matches_detection() {
+        assert_eq!(
+            KernelTier::Avx2.supported(),
+            is_x86_feature_detected!("avx2")
+        );
+        assert_eq!(KernelTier::Avx2.name(), "avx2");
+    }
+
+    /// Every tier executable on this host.
+    fn tiers() -> Vec<KernelTier> {
+        let mut t = vec![KernelTier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        if KernelTier::Avx2.supported() {
+            t.push(KernelTier::Avx2);
+        }
+        t
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     /// Runs `f` once per tier and asserts the mutated buffer is bitwise
     /// identical. On hosts without AVX2 this degenerates to scalar-vs-
     /// scalar, which is still a valid (if trivial) check.
-    fn assert_tiers_bitwise<F: Fn(KernelTier, &mut [f32])>(init: &[f32], f: F) {
+    fn assert_tiers_bitwise<F: Fn(KernelTier, &mut [f32])>(what: &str, init: &[f32], f: F) {
         let mut scalar = init.to_vec();
         f(KernelTier::Scalar, &mut scalar);
-        #[cfg(target_arch = "x86_64")]
-        if KernelTier::Avx2.supported() {
-            let mut simd = init.to_vec();
-            f(KernelTier::Avx2, &mut simd);
-            let scalar_bits: Vec<u32> = scalar.iter().map(|x| x.to_bits()).collect();
-            let simd_bits: Vec<u32> = simd.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(scalar_bits, simd_bits, "tiers diverged bitwise");
+        for tier in tiers() {
+            let mut out = init.to_vec();
+            f(tier, &mut out);
+            assert_eq!(
+                bits(&scalar),
+                bits(&out),
+                "{what}: {tier:?} diverged bitwise (n={})",
+                init.len()
+            );
         }
     }
 
@@ -351,29 +840,73 @@ mod tests {
         (0..n).map(|_| rng.gen_range(lo..hi)).collect()
     }
 
-    #[test]
-    fn elementwise_kernels_are_bitwise_identical_across_tiers() {
-        let mut rng = StdRng::seed_from_u64(7);
-        // Lengths straddle the 8-lane boundary: pure tail, exact lanes,
-        // lanes + tail, and the paper-default population size.
-        for n in [1usize, 5, 8, 13, 16, 27, 50, 384] {
-            let src = rand_vec(&mut rng, n, -2.0, 2.0);
-            let init = rand_vec(&mut rng, n, -70.0, -40.0);
-            let thetas = rand_vec(&mut rng, n, 0.0, 40.0);
-            let refrac: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..3)).collect();
+    fn rand_refrac(rng: &mut StdRng, n: usize) -> Vec<u32> {
+        (0..n).map(|_| rng.gen_range(0u32..3)).collect()
+    }
 
-            assert_tiers_bitwise(&init, |t, d| add_assign(t, d, &src));
-            assert_tiers_bitwise(&init, |t, d| scaled_add_assign(t, d, &src, 0.7371));
-            assert_tiers_bitwise(&init, |t, d| scale_in_place(t, d, 0.99731));
-            assert_tiers_bitwise(&init, |t, d| div_by_theta_gap(t, d, &thetas, 13.0));
-            assert_tiers_bitwise(&init, |t, d| masked_scaled_add(t, d, &refrac, &src, 2.1));
-            assert_tiers_bitwise(&init, |t, d| masked_add_uniform(t, d, &refrac, -17.5));
+    /// Edge values planted in every elementwise input: signed zeros,
+    /// subnormals (a documented state of long-run learned weights) and
+    /// ±1e30. No kernel turns finite inputs into NaN, whose payload bits
+    /// would not be a fair comparison.
+    const SPECIALS: [f32; 6] = [0.0, -0.0, 1e-40, -1e-40, 1e30, -1e30];
+
+    /// `xs` with every `every`-th element replaced by the next special.
+    fn with_specials(mut xs: Vec<f32>, every: usize) -> Vec<f32> {
+        for (k, x) in xs.iter_mut().step_by(every).enumerate() {
+            *x = SPECIALS[k % SPECIALS.len()];
         }
+        xs
     }
 
     /// Widths straddling the 8-lane and 64-column block boundaries,
     /// including the paper-default population of 50.
     const TICK_WIDTHS: [usize; 10] = [1, 7, 8, 9, 31, 32, 33, 50, 64, 67];
+
+    /// [`TICK_WIDTHS`] plus more 8-lane tails and lane-major multi-lane
+    /// block sizes (`lanes × 50`) and the 384-input weight row.
+    fn elementwise_widths() -> impl Iterator<Item = usize> {
+        TICK_WIDTHS
+            .into_iter()
+            .chain([5, 13, 16, 27, 384, 400, 1600])
+    }
+
+    #[test]
+    fn elementwise_kernels_are_bitwise_identical_across_tiers() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in elementwise_widths() {
+            // Specials every 2nd source and every 3rd destination element,
+            // so they meet random values and each other.
+            let src = with_specials(rand_vec(&mut rng, n, -2.0, 2.0), 2);
+            let init = with_specials(rand_vec(&mut rng, n, -70.0, -40.0), 3);
+            let thetas = with_specials(rand_vec(&mut rng, n, 0.0, 40.0), 4);
+            let refrac = rand_refrac(&mut rng, n);
+
+            assert_tiers_bitwise("add_assign", &init, |t, d| add_assign(t, d, &src));
+            assert_tiers_bitwise("scaled_add_assign", &init, |t, d| {
+                scaled_add_assign(t, d, &src, 0.7371)
+            });
+            assert_tiers_bitwise("scale_in_place", &init, |t, d| {
+                scale_in_place(t, d, 0.99731)
+            });
+            assert_tiers_bitwise("div_by_theta_gap", &init, |t, d| {
+                div_by_theta_gap(t, d, &thetas, 13.0)
+            });
+            assert_tiers_bitwise("masked_scaled_add", &init, |t, d| {
+                masked_scaled_add(t, d, &refrac, &src, 2.1)
+            });
+            assert_tiers_bitwise("masked_add_uniform", &init, |t, d| {
+                masked_add_uniform(t, d, &refrac, -17.5)
+            });
+
+            // `mul_assign` runs row by row through `scale_columns`: a
+            // 3-row matrix `n` columns wide.
+            let weights = with_specials(rand_vec(&mut rng, 3 * n, 0.0, 0.3), 5);
+            let scales = with_specials(rand_vec(&mut rng, n, 0.5, 1.5), 3);
+            assert_tiers_bitwise("scale_columns", &weights, |t, w| {
+                scale_columns(t, w, n, &scales)
+            });
+        }
+    }
 
     #[test]
     fn lif_tick_is_bitwise_identical_across_tiers() {
@@ -385,12 +918,14 @@ mod tests {
             refractory: 5,
         };
         let mut rng = StdRng::seed_from_u64(11);
-        for n in TICK_WIDTHS {
+        // Single-population widths and lane-major multi-lane block sizes.
+        let widths = TICK_WIDTHS.into_iter().chain([24, 50 * 8, 50 * 32]);
+        for (n, theta_decay) in widths.zip([0.999, 0.9999].into_iter().cycle()) {
             // Potentials spanning rest-to-above-threshold so some lanes
             // spike, plus a mix of refractory counters.
             let v0 = rand_vec(&mut rng, n, -70.0, -45.0);
             let theta0 = rand_vec(&mut rng, n, 0.0, 5.0);
-            let refrac0: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..3)).collect();
+            let refrac0 = rand_refrac(&mut rng, n);
             let drive = rand_vec(&mut rng, n, -1.0, 4.0);
 
             let run = |tier: KernelTier| {
@@ -411,13 +946,14 @@ mod tests {
                         d,
                         2.1,
                         p,
-                        0.9999,
+                        theta_decay,
                         &mut spikes,
                     );
+                    // Ascending flat order (grouped by lane in the
+                    // lane-major layout).
                     assert!(spikes.windows(2).all(|w| w[0] < w[1]), "unsorted spikes");
                     all_spikes.push(spikes.clone());
                 }
-                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
                 (bits(&v), bits(&theta), refrac, all_spikes)
             };
 
@@ -426,9 +962,8 @@ mod tests {
                 scalar.3.iter().any(|s| !s.is_empty()) || n < 8,
                 "nothing fired (n={n})"
             );
-            #[cfg(target_arch = "x86_64")]
-            if KernelTier::Avx2.supported() {
-                assert_eq!(scalar, run(KernelTier::Avx2), "tiers diverged (n={n})");
+            for tier in tiers() {
+                assert_eq!(scalar, run(tier), "{tier:?} diverged (n={n})");
             }
         }
     }
@@ -486,7 +1021,6 @@ mod tests {
                 }
                 scale_in_place(KernelTier::Scalar, &mut theta2, 0.999);
 
-                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
                 assert_eq!(spikes, want, "spikes (n={n})");
                 assert_eq!(bits(&v), bits(&v2), "potentials (n={n})");
                 assert_eq!(bits(&theta), bits(&theta2), "thetas (n={n})");
@@ -588,15 +1122,5 @@ mod tests {
             let want: Vec<u32> = xs.iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, want, "x * 1.0 must be bitwise identity");
         }
-    }
-
-    /// Every tier executable on this host.
-    fn tiers() -> Vec<KernelTier> {
-        let mut t = vec![KernelTier::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        if KernelTier::Avx2.supported() {
-            t.push(KernelTier::Avx2);
-        }
-        t
     }
 }

@@ -5,7 +5,8 @@
 //! directories — and downstream users who want the whole system — need a
 //! single dependency.
 //!
-//! * [`accel`] — shared SIMD capability probe / kernel-tier dispatch
+//! * [`accel`] — the SNN's SIMD capability probe, kernel-tier dispatch
+//!   and f32 kernels (`pathfinder_snn::accel`)
 //! * [`sim`] — trace-driven memory-hierarchy simulator (ChampSim substitute)
 //! * [`traces`] — synthetic Table 5 workload generators
 //! * [`snn`] — LIF/STDP spiking-network engine
@@ -29,7 +30,6 @@
 //! # Ok::<(), String>(())
 //! ```
 
-pub use pathfinder_accel as accel;
 pub use pathfinder_core as core;
 pub use pathfinder_harness as harness;
 pub use pathfinder_hw as hw;
@@ -38,5 +38,6 @@ pub use pathfinder_prefetch as prefetch;
 pub use pathfinder_serve as serve;
 pub use pathfinder_sim as sim;
 pub use pathfinder_snn as snn;
+pub use pathfinder_snn::accel;
 pub use pathfinder_telemetry as telemetry;
 pub use pathfinder_traces as traces;

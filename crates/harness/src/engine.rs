@@ -80,12 +80,12 @@ where
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let per_worker = crossbeam::thread::scope(|s| {
+    let per_worker = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let next = &next;
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -102,8 +102,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("sweep worker panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("sweep pool scope failed");
+    });
 
     let mut slots: Vec<Option<T>> = (0..items.len()).map(|_| None).collect();
     for (i, value) in per_worker.into_iter().flatten() {

@@ -15,11 +15,12 @@
 //! (`serve.throughput.{1,64,1024}streams`, sustained aggregate
 //! accesses/sec through the in-process engine), the duty-cycled serving
 //! template one access per request (`serve.throughput.single`) and in
-//! `access_batch` frames (`serve.throughput.batch{16,256}`), and one end-to-end
-//! report cell), then emits the results as `BENCH_pr21.json` (the
-//! `--bench-out` default): suite → median ns/op + throughput, the
-//! dispatched kernel tier, plus a telemetry snapshot of the end-to-end
-//! cell.
+//! `access_batch` frames (`serve.throughput.batch{16,256}`), two clients
+//! whose 64-record frames alternate stripes (`serve.throughput.contended`),
+//! and one end-to-end report cell), then emits the results as
+//! `BENCH_pr21.json` (the `--bench-out` default): suite → median ns/op +
+//! throughput, the dispatched kernel tier, plus a telemetry snapshot of the
+//! end-to-end cell.
 //!
 //! With `--baseline <json>` the run becomes a *gate*: each suite's median
 //! is compared against the checked-in baseline (`benches/baseline.json`)
@@ -518,7 +519,7 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
     // call builds a fresh engine (stream setup is part of serving cost)
     // and drops it without a drain (ingestion throughput, not replay).
     // The widening stream counts move the bottleneck: 1 stream serializes
-    // behind one stripe lock, 64 exercises stripe parallelism (each client
+    // behind its stream's lock, 64 exercises stream parallelism (each client
     // thread serves its own requests inline) with warm learners,
     // 1024 (clamped to the trace length at tiny scales) is dominated by
     // cold-stream setup and cross-stream cache pressure.
@@ -531,11 +532,11 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         let n_streams = want_streams.min(micro_trace.len()).max(1);
         suites.push(measure(name, 7, micro_trace.len() as u64, || {
             let engine = ServeEngine::with_template(StreamTemplate::default(), 4);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 for client in 0..SERVE_CLIENTS {
                     let engine = &engine;
                     let trace = &micro_trace;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for (i, a) in trace.iter().enumerate() {
                             let stream = i % n_streams;
                             if stream % SERVE_CLIENTS != client {
@@ -553,8 +554,7 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
                         }
                     });
                 }
-            })
-            .expect("serve bench client scope");
+            });
         }));
     }
 
@@ -610,6 +610,58 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
             }
         }));
     }
+
+    // --- Contended serving: churn-fanout's shape in process. Two client
+    // threads on a fresh 2-stripe engine each own 8 streams whose ids
+    // alternate stripes (client c owns the ids whose bit 1 is c). Like
+    // churn-fanout's streams, stream s replays its own 256-access trace of
+    // workload `s % 11`, sent as four 64-record `access_batch` frames,
+    // round-robin over the client's streams. Different traces make frames
+    // of different cost, so the two clients drift in and out of step and
+    // meet on a stripe as they do over the socket; with one shared trace
+    // they settle into strict alternation and never meet. ops = all 4096
+    // accesses; no drain.
+    const CONTENDED_STREAMS: u64 = 16;
+    const CONTENDED_LOADS: usize = 256;
+    let contended: Vec<Vec<AccessRecord>> = (0..CONTENDED_STREAMS)
+        .map(|s| {
+            Workload::ALL[s as usize % Workload::ALL.len()]
+                .generate(CONTENDED_LOADS, opts.seed ^ s)
+                .accesses()
+                .iter()
+                .map(record)
+                .collect()
+        })
+        .collect();
+    let contended_ops: usize = contended.iter().map(Vec::len).sum();
+    suites.push(measure(
+        "serve.throughput.contended",
+        7,
+        contended_ops as u64,
+        || {
+            let engine = ServeEngine::with_template(serving_template(), 2);
+            std::thread::scope(|scope| {
+                for client in 0..2 {
+                    let (engine, contended) = (&engine, &contended);
+                    scope.spawn(move || {
+                        let mine: Vec<u64> = (0..CONTENDED_STREAMS)
+                            .filter(|s| (s >> 1) & 1 == client)
+                            .collect();
+                        for frame in 0..CONTENDED_LOADS.div_ceil(64) {
+                            for &stream in &mine {
+                                let Some(chunk) = contended[stream as usize].chunks(64).nth(frame)
+                                else {
+                                    continue;
+                                };
+                                let accesses = chunk.iter().map(|&r| (stream, r)).collect();
+                                black_box(engine.request(Request::AccessBatch { accesses }));
+                            }
+                        }
+                    });
+                }
+            });
+        },
+    ));
 
     // --- End-to-end report cell (generate + replay + metrics), with the
     // --- telemetry the cell recorded attached to the document. -----------
@@ -973,6 +1025,7 @@ mod tests {
             "serve.throughput.single",
             "serve.throughput.batch16",
             "serve.throughput.batch256",
+            "serve.throughput.contended",
             "e2e.report_cell",
         ] {
             assert!(names.contains(&expected), "missing suite {expected}");

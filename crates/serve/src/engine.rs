@@ -1,42 +1,59 @@
 //! The serving engine: each request runs to completion on the caller's
-//! thread, under per-stream lock stripes.
+//! thread, under its stream's own lock.
 //!
 //! There is no worker pool. Whoever calls [`ServeEngine::request`] — a
 //! socket connection thread or an in-process caller — serves the request
 //! itself, start to finish. Streams live in `shards` lock stripes, stream
-//! `s` in stripe `s % shards`; each stripe is one `Mutex` over its streams'
-//! sessions, running totals and telemetry. A stream's accesses are served
-//! under its stripe's lock, so they apply in arrival order — which is what
-//! keeps the bit-identical-to-batch guarantee from [`crate::stream`] — while
-//! streams on different stripes serve in parallel.
+//! `s` in stripe `s % shards`. A stripe is one `Mutex` over a map from
+//! stream id to that stream's *slot*, plus the telemetry of its drained
+//! streams. A slot is a `Mutex` of its own over the stream's session and
+//! the telemetry recorded serving it.
+//!
+//! A request locks its stripe only to look the slot up (or insert a new
+//! one), releases it, and then serves the stream under the slot's lock. A
+//! stream's accesses therefore apply in arrival order — which is what
+//! keeps the bit-identical-to-batch guarantee from [`crate::stream`] —
+//! while every other stream serves in parallel, on the same stripe or not.
+//! No thread holds a stripe lock and a slot lock at once, and no serving
+//! work runs under a stripe lock. A new stream's session is built before
+//! the stripe is locked to insert it; if another request inserted the
+//! stream first, the spare session is dropped.
 //!
 //! An `access` is served as a one-record `access_batch`. A frame's records
 //! are grouped by stream, each group keeping its records' arrival order,
 //! and each group runs as one [`StreamSession::access_run`] under its
-//! stripe's lock, so a stream's duty-cycled frozen queries within a frame
+//! stream's lock, so a stream's duty-cycled frozen queries within a frame
 //! share one `present_frozen_batch` call. No reply depends on another
 //! stream's state, so serving the groups one after another is
 //! indistinguishable from serving the records in frame order. No request
-//! holds two stripe locks at once.
+//! holds two slot locks at once.
 //!
-//! Drains take sessions out under the lock and run the timed replay after
-//! releasing it. A full drain raises the `draining` flag before it walks
-//! the stripes, and every per-stream request checks that flag under its
-//! stripe's lock: a request either lands before its stream is taken, and
-//! so is in the drained result, or is answered `"daemon is draining"`.
+//! A drain removes slots from the map under the stripe lock, then takes
+//! each session out under its slot's lock and runs the timed replay after
+//! releasing it. A request that looked a slot up before the drain removed
+//! it either locks the slot first, and so is in the drained result, or
+//! finds its session gone and looks the stream up again: an access then
+//! lands in a fresh stream, exactly as if it had arrived after the drain.
+//! A full drain raises the `draining` flag before it walks the stripes,
+//! and every lookup checks that flag under the stripe lock, so once a full
+//! drain has begun per-stream requests are answered `"daemon is
+//! draining"`.
+//!
+//! A panic while serving a stream poisons that stream's slot only: the
+//! stream answers an error until it is drained, and its stripe keeps
+//! serving the rest.
 //!
 //! The engine is transport-agnostic: tests call [`ServeEngine::request`]
 //! in-process over the same code path the Unix-socket server uses.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use pathfinder_sim::Block;
 use pathfinder_telemetry::{
-    counter, record_into, Histogram, HistogramSnapshot, MemoryRecorder, Recorder,
+    counter, histogram, record_into, Histogram, HistogramSnapshot, MemoryRecorder, Recorder,
 };
 
 use crate::protocol::{
@@ -76,30 +93,38 @@ fn block_ids(blocks: &[Block]) -> Vec<u64> {
     blocks.iter().map(|b| b.0).collect()
 }
 
-/// One stripe's live streams and the totals daemon-wide `status` reports.
-#[derive(Default)]
-struct Streams {
-    live: HashMap<u64, StreamSession>,
-    /// Accesses ingested, including already-drained streams.
-    accesses: u64,
-    /// Schedule entries produced, including already-drained streams.
-    schedule_len: u64,
+fn poisoned_stream(stream: u64) -> String {
+    format!("stream {stream} is poisoned by an earlier panic")
 }
 
-/// One lock stripe: its streams and the telemetry recorded serving them.
-/// The recorder belongs to the stripe, not to whichever short-lived thread
+/// One stream: its session and the telemetry recorded serving it. The
+/// recorder belongs to the stream, not to whichever short-lived thread
 /// served a request, so daemon-wide `status` sees every request's metrics.
-#[derive(Default)]
-struct Stripe {
-    streams: Streams,
+/// `session` is `None` once a drain has taken it.
+struct Slot {
+    session: Option<StreamSession>,
     telemetry: MemoryRecorder,
 }
 
-/// The daemon core: streams in lock stripes, served run-to-completion.
+/// One lock stripe: its streams' slots, and the telemetry of its drained
+/// streams and of the drains themselves. Its lock guards map bookkeeping
+/// only.
+#[derive(Default)]
+struct Stripe {
+    live: HashMap<u64, Arc<Mutex<Slot>>>,
+    telemetry: MemoryRecorder,
+}
+
+/// The daemon core: streams in lock stripes, each served under its own
+/// lock, run-to-completion.
 pub struct ServeEngine {
     stripes: Vec<Mutex<Stripe>>,
     template: RwLock<StreamTemplate>,
     draining: AtomicBool,
+    /// Accesses ingested, including already-drained streams.
+    accesses: AtomicU64,
+    /// Schedule entries produced, including already-drained streams.
+    schedule_len: AtomicU64,
     /// Request latency at the engine boundary, one histogram per verb
     /// (nanoseconds), merged into daemon-wide `status`.
     latency: Mutex<[Histogram; VERB_LATENCY.len()]>,
@@ -128,6 +153,8 @@ impl ServeEngine {
             stripes: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             template: RwLock::new(template),
             draining: AtomicBool::new(false),
+            accesses: AtomicU64::new(0),
+            schedule_len: AtomicU64::new(0),
             latency: Mutex::new(std::array::from_fn(|_| Histogram::new())),
         }
     }
@@ -172,7 +199,6 @@ impl ServeEngine {
     }
 
     fn serve(&self, req: Request) -> Result<Response, String> {
-        let unknown = |stream: u64| format!("unknown stream {stream}");
         match req {
             Request::Access { stream, access } => {
                 let mut blocks = self.access_batch(vec![(stream, access)], false)?;
@@ -188,14 +214,12 @@ impl ServeEngine {
                     prefetched: blocks.iter().map(|b| b.len() as u64).sum(),
                 })
             }
-            Request::Predict { stream } => self.with_stripe(stream, |s| {
-                let session = s.live.get(&stream).ok_or_else(|| unknown(stream))?;
+            Request::Predict { stream } => self.with_session(stream, false, |session| {
                 Ok(Response::Prefetches(block_ids(session.last_prediction())))
             }),
             Request::Status {
                 stream: Some(stream),
-            } => self.with_stripe(stream, |s| {
-                let session = s.live.get(&stream).ok_or_else(|| unknown(stream))?;
+            } => self.with_session(stream, false, |session| {
                 Ok(Response::Stream(StreamStatus {
                     stream,
                     shard: self.stripe_index(stream) as u32,
@@ -219,14 +243,16 @@ impl ServeEngine {
             Request::Drain {
                 stream: Some(stream),
             } => {
-                let session = self.with_stripe(stream, |s| {
-                    let session = s.live.remove(&stream).ok_or_else(|| unknown(stream))?;
-                    counter!("serve.drains", 1);
-                    Ok(session)
-                })?;
-                Ok(Response::Drained(
-                    self.replay(self.stripe_index(stream), vec![session]),
-                ))
+                let slot = self
+                    .open_stripe(stream)?
+                    .live
+                    .remove(&stream)
+                    .ok_or_else(|| format!("unknown stream {stream}"))?;
+                let drained = self.drain_slots(self.stripe_index(stream), vec![slot]);
+                if drained.is_empty() {
+                    return Err(poisoned_stream(stream));
+                }
+                Ok(Response::Drained(drained))
             }
             Request::Drain { stream: None } => self.drain_all(),
         }
@@ -240,21 +266,77 @@ impl ServeEngine {
             .map_err(|_| format!("stripe {index} is poisoned by an earlier panic"))
     }
 
-    /// Runs `f` on `stream`'s stripe under its lock, recording telemetry
-    /// into the stripe. Refused once a full drain has begun; the flag is
-    /// read under the lock, so it is ordered against the drain taking this
-    /// stripe's streams.
-    fn with_stripe<T>(
-        &self,
-        stream: u64,
-        f: impl FnOnce(&mut Streams) -> Result<T, String>,
-    ) -> Result<T, String> {
-        let mut guard = self.lock(self.stripe_index(stream))?;
+    /// Locks `stream`'s stripe for a per-stream request. Refused once a
+    /// full drain has begun; the flag is read under the lock, so it is
+    /// ordered against the drain emptying this stripe.
+    fn open_stripe(&self, stream: u64) -> Result<MutexGuard<'_, Stripe>, String> {
+        let stripe = self.lock(self.stripe_index(stream))?;
         if self.is_draining() {
             return Err(DRAINING.into());
         }
-        let Stripe { streams, telemetry } = &mut *guard;
-        record_into(telemetry, || f(streams))
+        Ok(stripe)
+    }
+
+    /// Looks up `stream`'s slot, and returns it with the time spent
+    /// building a session. A missing stream is an error unless `create`,
+    /// in which case its session is built outside every lock and inserted
+    /// unless another request inserted the stream meanwhile.
+    fn slot(&self, stream: u64, create: bool) -> Result<(Arc<Mutex<Slot>>, Duration), String> {
+        if let Some(slot) = self.open_stripe(stream)?.live.get(&stream) {
+            return Ok((Arc::clone(slot), Duration::ZERO));
+        }
+        if !create {
+            return Err(format!("unknown stream {stream}"));
+        }
+        let building = Instant::now();
+        let session = {
+            let template = self
+                .template
+                .read()
+                .expect("template lock: StreamTemplate::apply never panics");
+            StreamSession::new(stream, &template)?
+        };
+        let built = building.elapsed();
+        let mut stripe = self.open_stripe(stream)?;
+        let slot = stripe.live.entry(stream).or_insert_with(|| {
+            let telemetry = MemoryRecorder::new();
+            record_into(&telemetry, || counter!("serve.streams_created", 1));
+            Arc::new(Mutex::new(Slot {
+                session: Some(session),
+                telemetry,
+            }))
+        });
+        Ok((Arc::clone(slot), built))
+    }
+
+    /// Runs `f` on `stream`'s session under the stream's own lock,
+    /// recording telemetry into the stream's slot, creating the stream
+    /// first if `create`. `serve.lock_wait` records the nanoseconds from
+    /// the lookup's start to holding the stream's lock, less the time spent
+    /// building a new stream's session: the time spent waiting for the
+    /// stripe and stream locks.
+    fn with_session<T>(
+        &self,
+        stream: u64,
+        create: bool,
+        f: impl FnOnce(&mut StreamSession) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let start = Instant::now();
+        let mut building = Duration::ZERO;
+        loop {
+            let (slot, built) = self.slot(stream, create)?;
+            building += built;
+            let mut guard = slot.lock().map_err(|_| poisoned_stream(stream))?;
+            let Slot { session, telemetry } = &mut *guard;
+            // `None`: a drain took the session after the lookup. Look the
+            // stream up again, as a request arriving after the drain would.
+            if let Some(session) = session {
+                return record_into(telemetry, || {
+                    histogram!("serve.lock_wait", (start.elapsed() - building).as_nanos());
+                    f(session)
+                });
+            }
+        }
     }
 
     /// Runs `recs` through `stream`'s session, creating the session on
@@ -267,18 +349,7 @@ impl ServeEngine {
         recs: &[AccessRecord],
         frames: Option<u64>,
     ) -> Result<Vec<Vec<Block>>, String> {
-        self.with_stripe(stream, |s| {
-            let session = match s.live.entry(stream) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let template = self
-                        .template
-                        .read()
-                        .expect("template lock: StreamTemplate::apply never panics");
-                    counter!("serve.streams_created", 1);
-                    e.insert(StreamSession::new(stream, &template)?)
-                }
-            };
+        self.with_session(stream, true, |session| {
             let (blocks, grouped_inferences) = session.access_run(recs);
             let n = recs.len() as u64;
             let issued: u64 = blocks.iter().map(|b| b.len() as u64).sum();
@@ -291,8 +362,8 @@ impl ServeEngine {
                     counter!("serve.batch.inference_grouped", grouped_inferences);
                 }
             }
-            s.accesses += n;
-            s.schedule_len += issued;
+            self.accesses.fetch_add(n, Ordering::Relaxed);
+            self.schedule_len.fetch_add(issued, Ordering::Relaxed);
             Ok(blocks)
         })
     }
@@ -329,11 +400,27 @@ impl ServeEngine {
         Ok(out)
     }
 
-    /// Replays drained sessions outside any lock, then folds the replay's
-    /// telemetry into stripe `index`.
-    fn replay(&self, index: usize, sessions: Vec<StreamSession>) -> Vec<DrainedStream> {
+    /// Drains `slots`, already removed from stripe `index`'s map: takes
+    /// each session out under its slot's lock, replays the sessions outside
+    /// every lock, then folds the slots' and the replay's telemetry into
+    /// the stripe. A poisoned slot's telemetry is folded in too, but its
+    /// session, which the panic may have left half-updated, is dropped
+    /// without a replay.
+    fn drain_slots(&self, index: usize, slots: Vec<Arc<Mutex<Slot>>>) -> Vec<DrainedStream> {
         let local = MemoryRecorder::new();
+        let sessions: Vec<StreamSession> = slots
+            .iter()
+            .filter_map(|slot| {
+                let (mut slot, poisoned) = match slot.lock() {
+                    Ok(slot) => (slot, false),
+                    Err(poison) => (poison.into_inner(), true),
+                };
+                local.merge(&slot.telemetry);
+                slot.session.take().filter(|_| !poisoned)
+            })
+            .collect();
         let drained = record_into(&local, || {
+            counter!("serve.drains", sessions.len());
             sessions.into_iter().map(StreamSession::drain).collect()
         });
         if let Ok(stripe) = self.stripes[index].lock() {
@@ -342,19 +429,28 @@ impl ServeEngine {
         drained
     }
 
-    /// Daemon-wide `status`: every stripe's totals and telemetry, plus the
-    /// engine-boundary latency histograms.
+    /// Daemon-wide `status`: the daemon totals, every stripe's and every
+    /// live stream's telemetry, and the engine-boundary latency histograms. A slot
+    /// is read after its stripe's lock is released; a drain folds a slot's
+    /// telemetry into the stripe only after removing it from the map, so
+    /// no recorder is counted twice.
     fn daemon_status(&self) -> Result<Response, String> {
-        let mut streams = 0u64;
-        let mut accesses = 0u64;
-        let mut schedule_len = 0u64;
         let merged = MemoryRecorder::new();
+        let mut slots = Vec::new();
         for index in 0..self.stripes.len() {
             let stripe = self.lock(index)?;
-            streams += stripe.streams.live.len() as u64;
-            accesses += stripe.streams.accesses;
-            schedule_len += stripe.streams.schedule_len;
             merged.merge(&stripe.telemetry);
+            slots.extend(stripe.live.values().cloned());
+        }
+        for slot in &slots {
+            // `record_into` restores a recorder even when its scope
+            // panics, so a poisoned slot's telemetry is still whole.
+            merged.merge(
+                &slot
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .telemetry,
+            );
         }
         let mut telemetry = merged.snapshot();
         {
@@ -372,27 +468,21 @@ impl ServeEngine {
         }
         Ok(Response::Status(ServeStatus {
             shards: self.shards(),
-            streams,
-            accesses,
-            schedule_len,
+            streams: slots.len() as u64,
+            accesses: self.accesses.load(Ordering::Relaxed),
+            schedule_len: self.schedule_len.load(Ordering::Relaxed),
             telemetry_json: telemetry.to_json(),
         }))
     }
 
-    /// Full drain: raises `draining`, then takes every stripe's streams
-    /// (one lock at a time) and replays them, sorted by stream id.
+    /// Full drain: raises `draining`, then empties every stripe's map (one
+    /// lock at a time) and drains its slots, sorted by stream id.
     fn drain_all(&self) -> Result<Response, String> {
         self.draining.store(true, Ordering::SeqCst);
         let mut drained = Vec::new();
         for index in 0..self.stripes.len() {
-            let sessions: Vec<StreamSession> = {
-                let mut guard = self.lock(index)?;
-                let Stripe { streams, telemetry } = &mut *guard;
-                let taken = std::mem::take(&mut streams.live);
-                record_into(telemetry, || counter!("serve.drains", taken.len()));
-                taken.into_values().collect()
-            };
-            drained.extend(self.replay(index, sessions));
+            let slots = std::mem::take(&mut self.lock(index)?.live);
+            drained.extend(self.drain_slots(index, slots.into_values().collect()));
         }
         drained.sort_by_key(|d| d.stream);
         Ok(Response::Drained(drained))
@@ -715,15 +805,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_drain_races_cleanly_with_concurrent_accesses() {
+    /// Four streams on `shards` stripes, each driven by its own thread
+    /// until a full drain refuses it. The drain starts only once every
+    /// thread has been served, so it lands mid-traffic on every stripe.
+    /// Every `Prefetches` reply must be in the drained result.
+    fn full_drain_race(shards: usize) {
         use std::sync::atomic::AtomicU64;
 
-        // Four streams on two stripes, each driven by its own thread until
-        // the drain refuses it. The drain starts only once every thread
-        // has been served, so it lands mid-traffic on every stripe.
         const THREADS: usize = 4;
-        let engine = ServeEngine::new(2);
+        let engine = ServeEngine::new(shards);
         let served: [AtomicU64; THREADS] = std::array::from_fn(|_| AtomicU64::new(0));
         let (drained, replies) = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
@@ -774,6 +864,182 @@ mod tests {
     }
 
     #[test]
+    fn full_drain_races_cleanly_with_concurrent_accesses() {
+        full_drain_race(2);
+    }
+
+    #[test]
+    fn full_drain_races_cleanly_with_concurrent_accesses_on_one_stripe() {
+        // All four streams share the stripe, so they contend only on its
+        // map and the drain takes every stream in one pass.
+        full_drain_race(1);
+    }
+
+    #[test]
+    fn stream_drain_races_cleanly_with_accesses_to_the_same_stream() {
+        // One thread sends accesses to stream 5 while another drains it
+        // over and over. Each access lands either in a stream some drain
+        // took or in the one left live at the end: none is lost or
+        // counted twice.
+        const ACCESSES: u64 = 300;
+        let engine = ServeEngine::new(2);
+        let done = AtomicBool::new(false);
+        let drained_accesses = std::thread::scope(|scope| {
+            let accesser = scope.spawn(|| {
+                for i in 0..ACCESSES {
+                    let resp = engine.request(Request::Access {
+                        stream: 5,
+                        access: rec(i),
+                    });
+                    assert!(matches!(resp, Response::Prefetches(_)), "{resp:?}");
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let drainer = scope.spawn(|| {
+                let mut total = 0;
+                let mut drains = 0;
+                while !done.load(Ordering::SeqCst) {
+                    match engine.request(Request::Drain { stream: Some(5) }) {
+                        Response::Drained(d) => {
+                            assert_eq!(d.len(), 1);
+                            assert_eq!(d[0].pf.accesses, d[0].report.loads);
+                            total += d[0].pf.accesses;
+                            drains += 1;
+                        }
+                        Response::Error(e) => assert_eq!(e, "unknown stream 5"),
+                        other => panic!("drain replied {other:?}"),
+                    }
+                }
+                (total, drains)
+            });
+            accesser.join().expect("accesser thread");
+            drainer.join().expect("drainer thread")
+        });
+        let (mut total, drains) = drained_accesses;
+        assert!(drains > 0, "the drainer never caught the stream live");
+        if let Response::Drained(rest) = engine.request(Request::Drain { stream: Some(5) }) {
+            total += rest[0].pf.accesses;
+        }
+        assert_eq!(total, ACCESSES);
+        let Response::Status(daemon) = engine.request(Request::Status { stream: None }) else {
+            panic!("daemon status failed")
+        };
+        assert_eq!(daemon.accesses, ACCESSES);
+        assert_eq!(daemon.streams, 0);
+    }
+
+    #[test]
+    fn an_access_that_loses_a_race_with_a_drain_lands_in_a_fresh_stream() {
+        // The test holds stream 5's slot while an access looks it up, then
+        // does what a drain does to it: removes it from the map and takes
+        // its session. The access must find the session gone, look again
+        // and create a fresh stream.
+        let engine = ServeEngine::new(1);
+        for i in 0..3 {
+            engine.request(Request::Access {
+                stream: 5,
+                access: rec(i),
+            });
+        }
+        let slot = Arc::clone(&engine.lock(0).expect("stripe 0").live[&5]);
+        let mut held = slot.lock().expect("stream 5's slot");
+        std::thread::scope(|scope| {
+            let late = scope.spawn(|| {
+                engine.request(Request::Access {
+                    stream: 5,
+                    access: rec(3),
+                })
+            });
+            // Map, test and the access's lookup each hold one reference.
+            while Arc::strong_count(&slot) < 3 {
+                std::thread::yield_now();
+            }
+            engine.lock(0).expect("stripe 0").live.remove(&5);
+            let taken = held.session.take().expect("live session");
+            drop(held);
+            assert_eq!(taken.accesses(), 3);
+            let resp = late.join().expect("access thread");
+            assert!(matches!(resp, Response::Prefetches(_)), "{resp:?}");
+        });
+        let Response::Stream(status) = engine.request(Request::Status { stream: Some(5) }) else {
+            panic!("the access did not re-create stream 5")
+        };
+        assert_eq!(status.accesses, 1);
+    }
+
+    #[test]
+    fn a_held_stream_does_not_block_another_on_its_stripe() {
+        // One stripe. The test holds stream 0's lock and a second access to
+        // stream 0 queues behind it; meanwhile stream 1 (new, then live)
+        // must still be served, so neither the holder nor the waiter may
+        // keep the stripe locked.
+        let engine = ServeEngine::new(1);
+        engine.request(Request::Access {
+            stream: 0,
+            access: rec(0),
+        });
+        let slot = Arc::clone(&engine.lock(0).expect("stripe 0").live[&0]);
+        let held = slot.lock().expect("stream 0's slot");
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                engine.request(Request::Access {
+                    stream: 0,
+                    access: rec(1),
+                })
+            });
+            // Map, test and the waiter's lookup each hold one reference.
+            while Arc::strong_count(&slot) < 3 {
+                std::thread::yield_now();
+            }
+            let other = scope.spawn(|| {
+                let first = engine.request(Request::Access {
+                    stream: 1,
+                    access: rec(0),
+                });
+                let second = engine.request(Request::Access {
+                    stream: 1,
+                    access: rec(1),
+                });
+                tx.send((first, second)).expect("test thread waits");
+            });
+            let replies = rx.recv_timeout(Duration::from_secs(30));
+            drop(held);
+            other.join().expect("stream 1 thread");
+            let waited = waiter.join().expect("stream 0 thread");
+            assert!(matches!(waited, Response::Prefetches(_)), "{waited:?}");
+            let (first, second) = replies.expect("stream 1 blocked behind stream 0's lock");
+            assert!(matches!(first, Response::Prefetches(_)), "{first:?}");
+            assert!(matches!(second, Response::Prefetches(_)), "{second:?}");
+        });
+    }
+
+    #[test]
+    #[cfg_attr(
+        not(feature = "telemetry"),
+        ignore = "serve.lock_wait needs the telemetry feature (on in workspace builds)"
+    )]
+    fn status_surfaces_lock_wait() {
+        let engine = ServeEngine::new(2);
+        for i in 0..3 {
+            engine.request(Request::AccessBatch {
+                accesses: vec![(0, rec(i)), (1, rec(i))],
+            });
+        }
+        let Response::Status(status) = engine.request(Request::Status { stream: None }) else {
+            panic!("status failed")
+        };
+        let telemetry = pathfinder_telemetry::json::parse(&status.telemetry_json)
+            .expect("status telemetry is JSON");
+        let count = telemetry
+            .get("histograms")
+            .and_then(|h| h.get("serve.lock_wait"))
+            .and_then(|h| h.get("count"))
+            .and_then(|c| c.as_f64());
+        assert_eq!(count, Some(6.0), "{}", status.telemetry_json);
+    }
+
+    #[test]
     fn poisoned_stripe_answers_error_and_other_stripes_keep_serving() {
         let engine = ServeEngine::new(2);
         let poisoner = std::thread::scope(|scope| {
@@ -804,6 +1070,71 @@ mod tests {
             }),
             Response::Prefetches(_)
         ));
+    }
+
+    #[test]
+    fn poisoned_stream_answers_error_and_its_stripe_keeps_serving() {
+        // Streams 0 and 1 share the only stripe. A panic under stream 0's
+        // lock poisons stream 0 alone.
+        let engine = ServeEngine::new(1);
+        for stream in 0..2 {
+            engine.request(Request::Access {
+                stream,
+                access: rec(0),
+            });
+        }
+        let slot = Arc::clone(&engine.lock(0).expect("stripe 0").live[&0]);
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = slot.lock().expect("fresh slot");
+                    panic!("poison stream 0");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        for req in [
+            Request::Access {
+                stream: 0,
+                access: rec(1),
+            },
+            Request::Predict { stream: 0 },
+        ] {
+            let resp = engine.request(req);
+            assert!(
+                matches!(&resp, Response::Error(e) if e.contains("stream 0 is poisoned")),
+                "{resp:?}"
+            );
+        }
+        assert!(matches!(
+            engine.request(Request::Access {
+                stream: 1,
+                access: rec(1),
+            }),
+            Response::Prefetches(_)
+        ));
+        let Response::Status(daemon) = engine.request(Request::Status { stream: None }) else {
+            panic!("daemon status failed")
+        };
+        assert_eq!((daemon.streams, daemon.accesses), (2, 3));
+        // Draining the poisoned stream answers an error and frees its id;
+        // a full drain then returns the healthy stream.
+        assert!(matches!(
+            engine.request(Request::Drain { stream: Some(0) }),
+            Response::Error(_)
+        ));
+        assert!(matches!(
+            engine.request(Request::Access {
+                stream: 0,
+                access: rec(2),
+            }),
+            Response::Prefetches(_)
+        ));
+        let Response::Drained(drained) = engine.request(Request::Drain { stream: None }) else {
+            panic!("full drain failed")
+        };
+        let accesses: Vec<(u64, u64)> = drained.iter().map(|d| (d.stream, d.pf.accesses)).collect();
+        assert_eq!(accesses, [(0, 1), (1, 2)]);
     }
 
     #[test]

@@ -14,22 +14,24 @@
 //!
 //! Requests run to completion on the thread that receives them (see
 //! [`engine`]): a socket connection thread, or the in-process caller, serves
-//! each request inline under the lock stripe that owns its stream. An
+//! each request inline under its stream's own lock. An
 //! `access_batch` frame amortizes framing and runs each stream's records as
 //! one group, so duty-cycled frozen inference shares one batched kernel call.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  clients ──frames──▶ connection thread ──inline──▶ ServeEngine ──lock──▶ stripe 0: streams 0,S,2S…
-//!           (wire.rs)     (socket.rs)                (engine.rs)            stripe 1: streams 1,S+1…
-//!                                                                           …
+//!  clients ──frames──▶ connection thread ──inline──▶ ServeEngine ──lookup──▶ stripe 0: streams 0,S,2S…
+//!           (wire.rs)     (socket.rs)                (engine.rs)              stripe 1: streams 1,S+1…
+//!                                                         │                   …
+//!                                                         └──lock──▶ stream slot: session + telemetry
 //! ```
 //!
 //! Streams map to stripe `stream_id % shards`. Each stripe is one mutex over
-//! its streams' sessions, totals and telemetry; a stream's requests are
-//! served under that lock, so per-stream order is preserved while streams on
-//! other stripes serve in parallel. The engine is transport-agnostic: tests
+//! a map from stream id to the stream's slot, held only to look a slot up,
+//! insert it or remove it; a stream's requests are served under its slot's
+//! own lock, so per-stream order is preserved while every other stream
+//! serves in parallel. The engine is transport-agnostic: tests
 //! call [`ServeEngine::request`] in-process; the daemon wraps the same
 //! method in length-prefixed frames on a Unix socket.
 //!

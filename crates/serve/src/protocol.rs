@@ -17,7 +17,7 @@
 //!   per-access path as `access` (warmup/training ingestion at frame
 //!   granularity); only aggregate counts come back.
 //! * [`Request::Status`] — per-stream counters, or daemon-wide aggregates
-//!   plus the merged per-stripe telemetry snapshot as JSON.
+//!   plus the merged stripe and stream telemetry snapshot as JSON.
 //! * [`Request::Configure`] — adjust the template new streams are built
 //!   from; existing streams are immutable (that is what keeps them
 //!   bit-identical to batch runs).
@@ -313,7 +313,7 @@ pub struct ServeStatus {
     pub accesses: u64,
     /// Schedule entries accumulated across all streams (including drained).
     pub schedule_len: u64,
-    /// Merged per-stripe telemetry snapshot, as the telemetry crate's JSON
+    /// Merged stripe and stream telemetry snapshot, as the telemetry crate's JSON
     /// document (empty object when telemetry is compiled out).
     pub telemetry_json: String,
 }

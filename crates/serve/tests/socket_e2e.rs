@@ -61,8 +61,8 @@ fn concurrent_clients_over_a_unix_socket_with_clean_drain() {
                     assert!(matches!(resp, Response::Prefetches(_)));
                 }
                 // Stream-local frames: all records belong to one stream, so
-                // the daemon runs each frame as one group under one stripe
-                // lock.
+                // the daemon runs each frame as one group under the
+                // stream's lock.
                 for chunk in batched.chunks(32) {
                     let resp = client
                         .request(&Request::AccessBatch {

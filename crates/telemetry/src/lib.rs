@@ -26,7 +26,7 @@
 //! which is how the harness scopes metrics to a single prefetcher run even
 //! when workloads evaluate on parallel threads. [`record_into`] installs a
 //! caller-owned [`MemoryRecorder`] instead, so a long-lived owner — a serve
-//! daemon lock stripe — accumulates what many short scopes record, on
+//! daemon stream — accumulates what many short scopes record, on
 //! whichever threads they run.
 //!
 //! ## Zero cost when disabled

@@ -51,7 +51,7 @@ pub use config::{PathfinderConfig, Readout, StdpDutyCycle, Variant};
 pub use encoder::PixelMatrixEncoder;
 pub use extensions::CrossPagePredictor;
 pub use prefetcher::{PathfinderPrefetcher, PathfinderStats};
-pub use snn_cache::{BatchProbe, CachedQuery, SnnCacheStats, SnnQueryCache};
+pub use snn_cache::{CachedQuery, SnnCacheStats, SnnQueryCache};
 pub use tables::{
     InferenceTable, Label, TrainingEntry, TrainingTable, CONFIDENCE_INIT, CONFIDENCE_MAX,
 };

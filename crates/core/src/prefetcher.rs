@@ -6,8 +6,6 @@ use pathfinder_sim::{Block, MemoryAccess, BLOCKS_PER_PAGE};
 use pathfinder_snn::{DiehlCookNetwork, RunOutcome};
 use pathfinder_telemetry as telemetry;
 
-use std::collections::HashMap;
-
 use crate::config::{PathfinderConfig, Readout};
 use crate::encoder::PixelMatrixEncoder;
 use crate::snn_cache::{CachedQuery, SnnQueryCache};
@@ -135,23 +133,7 @@ impl PathfinderPrefetcher {
     /// kernels; duty-cycled inference queries are pure in
     /// `(key, readout, weight_version)` and route through the frozen kernel
     /// and its memo, so a repeated matrix skips the SNN entirely.
-    ///
-    /// `prepared` carries results pre-computed by a batched frozen pass
-    /// ([`PathfinderPrefetcher::on_access_run`]): on a cache miss with the
-    /// full-interval readout, a prepared digest is consumed instead of
-    /// running the query inline as a one-lane batch. Because the packed
-    /// matrix key determines the rate vector exactly (the encoding is
-    /// collision-free within one configuration — pinned by the
-    /// `encode_key` proptests) and prepared digests are only consulted at
-    /// the weight version they were computed at, a prepared result is
-    /// bit-identical to what the inline query would have produced.
-    fn query_prepared(
-        &mut self,
-        rates: &[f32],
-        key: u64,
-        learn: bool,
-        prepared: Option<&HashMap<u64, CachedQuery>>,
-    ) -> Vec<usize> {
+    fn query(&mut self, rates: &[f32], key: u64, learn: bool) -> Vec<usize> {
         self.stats.snn_queries += 1;
         telemetry::counter!("pf.snn.queries", 1);
         if learn {
@@ -179,12 +161,9 @@ impl PathfinderPrefetcher {
             Some(cached) => cached,
             None => {
                 let fresh = match readout {
-                    Readout::FullInterval => match prepared.and_then(|m| m.get(&key)) {
-                        Some(batched) => batched.clone(),
-                        None => Self::digest_outcome(
-                            self.network.present_frozen_batch(&[rates]).remove(0),
-                        ),
-                    },
+                    Readout::FullInterval => {
+                        Self::digest_outcome(self.network.present_frozen(rates))
+                    }
                     // The 1-tick readout without learning is already a pure,
                     // RNG-free function of the weights and thresholds.
                     Readout::OneTick => CachedQuery {
@@ -262,141 +241,10 @@ impl PathfinderPrefetcher {
         self.stats.snn_cache_invalidations = cs.invalidations;
     }
 
-    /// Processes a run of accesses, batching each contiguous duty-cycled-off
-    /// stretch's frozen SNN queries through one
-    /// [`pathfinder_snn::DiehlCookNetwork::present_frozen_batch`] call.
-    ///
-    /// Per-access results and every [`PathfinderStats`] counter are
-    /// identical to calling [`Prefetcher::on_access`] once per access — the
-    /// batch only changes *when* the frozen kernel work happens, not what
-    /// it computes. The run is segmented by the STDP duty cycle's phase at
-    /// each access index; learning segments (and the 1-tick readout, whose
-    /// frozen path is RNG-free and cheap) execute sequentially, while each
-    /// frozen full-interval segment first *plans* its query keys against a
-    /// snapshot of the training state, partitions them with
-    /// [`SnnQueryCache::probe_batch`], presents the cache-missing rate
-    /// matrices as lockstep lanes, and then replays the segment with the
-    /// lane digests pre-staged. Planning is best-effort: an access whose
-    /// realized key differs from the plan (e.g. a training-table eviction
-    /// between plan and replay) simply misses the prepared map and runs
-    /// inline as a one-lane batch.
+    /// Processes a run of accesses in order: one [`Prefetcher::on_access`]
+    /// per access, returning each access's prefetch blocks.
     pub fn on_access_run(&mut self, accesses: &[MemoryAccess]) -> Vec<Vec<Block>> {
-        let mut out = Vec::with_capacity(accesses.len());
-        let duty = self.config.stdp_duty;
-        // Each access (same-block repeats included) bumps the counter by
-        // exactly one, so phase membership is known for the whole run up
-        // front: access `k` runs at duty index `acc0 + k`.
-        let acc0 = self.stats.accesses;
-        let mut i = 0;
-        while i < accesses.len() {
-            let learn = duty.learning_enabled(acc0 + i as u64);
-            let mut j = i + 1;
-            while j < accesses.len() && duty.learning_enabled(acc0 + j as u64) == learn {
-                j += 1;
-            }
-            let segment = &accesses[i..j];
-            let prepared = if !learn && self.config.readout == Readout::FullInterval {
-                self.prepare_frozen_segment(segment)
-            } else {
-                None
-            };
-            for access in segment {
-                out.push(self.on_access_inner(access, prepared.as_ref()));
-            }
-            i = j;
-        }
-        out
-    }
-
-    /// Plans one duty-cycled-off segment's frozen queries and runs the
-    /// cache-missing ones as one batched presentation.
-    ///
-    /// The plan replays the key-affecting slice of [`Prefetcher::on_access`]
-    /// — same-block filtering, [`TrainingTable::record_offset`]'s delta
-    /// bookkeeping, and the §3.4 encoding branch
-    /// ([`PathfinderPrefetcher::encode_query`]) — against private snapshots
-    /// of each (PC, page) stream's training entry, so nothing observable
-    /// mutates before the real replay. Returns `None` when fewer than two
-    /// lanes would compute: a lone miss runs inline as a one-lane batch
-    /// anyway, and only misses that share a call count as grouped.
-    fn prepare_frozen_segment(
-        &mut self,
-        segment: &[MemoryAccess],
-    ) -> Option<HashMap<u64, CachedQuery>> {
-        struct PlanEntry {
-            deltas: Vec<i16>,
-            last_offset: u8,
-            touches: u64,
-        }
-        let mut plan: HashMap<(u64, u64), PlanEntry> = HashMap::new();
-        let mut keys = Vec::new();
-        let mut rate_rows: Vec<Vec<f32>> = Vec::new();
-        for access in segment {
-            let pc = access.pc.raw();
-            let block = access.block();
-            let page = block.page();
-            let offset = block.page_offset();
-            let training = &self.training;
-            let e = plan
-                .entry((pc, page.0))
-                .or_insert_with(|| match training.peek(pc, page.0) {
-                    Some(e) => PlanEntry {
-                        deltas: e.deltas.clone(),
-                        last_offset: e.last_offset,
-                        touches: e.touches,
-                    },
-                    None => PlanEntry {
-                        deltas: Vec::new(),
-                        last_offset: 0,
-                        touches: 0,
-                    },
-                });
-            // Same-block repeats neither query nor advance the stream.
-            if e.touches > 0 && e.last_offset == offset {
-                continue;
-            }
-            e.touches += 1;
-            if e.touches == 1 {
-                e.last_offset = offset;
-            } else {
-                // Nonzero by the same-block filter above.
-                let delta = offset as i16 - e.last_offset as i16;
-                e.last_offset = offset;
-                e.deltas.push(delta);
-                if e.deltas.len() > self.config.history {
-                    e.deltas.remove(0);
-                }
-            }
-            let Some((rates, key)) = self.encode_query(&e.deltas, e.touches, offset) else {
-                // Basic design: this access records history but won't query.
-                continue;
-            };
-            keys.push(key);
-            rate_rows.push(rates);
-        }
-
-        // Frozen queries never move the weight version, so one partition
-        // covers the whole segment. The probe is read-only: the replay's
-        // real cache lookups/inserts keep hit/miss accounting (and LRU
-        // order) bit-identical to unbatched serving.
-        self.cache.sync_version(self.network.weight_version());
-        let probe =
-            self.cache
-                .probe_batch(self.network.weight_version(), Readout::FullInterval, &keys);
-        if probe.compute.len() < 2 {
-            return None;
-        }
-        let queries: Vec<&[f32]> = probe
-            .compute
-            .iter()
-            .map(|&k| rate_rows[k].as_slice())
-            .collect();
-        let outcomes = self.network.present_frozen_batch(&queries);
-        let mut prepared = HashMap::with_capacity(outcomes.len());
-        for (&k, outcome) in probe.compute.iter().zip(outcomes) {
-            prepared.insert(keys[k], Self::digest_outcome(outcome));
-        }
-        Some(prepared)
+        accesses.iter().map(|a| self.on_access(a)).collect()
     }
 
     /// The §3.4 encoding branch: the rate matrix and packed key for a
@@ -424,14 +272,14 @@ impl PathfinderPrefetcher {
             ))
         }
     }
+}
 
-    /// The [`Prefetcher::on_access`] body, with optionally pre-staged
-    /// frozen-query digests from [`PathfinderPrefetcher::on_access_run`].
-    fn on_access_inner(
-        &mut self,
-        access: &MemoryAccess,
-        prepared: Option<&HashMap<u64, CachedQuery>>,
-    ) -> Vec<Block> {
+impl Prefetcher for PathfinderPrefetcher {
+    fn name(&self) -> &str {
+        "PATHFINDER"
+    }
+
+    fn on_access(&mut self, access: &MemoryAccess) -> Vec<Block> {
         self.stats.accesses += 1;
         telemetry::counter!("pf.accesses", 1);
         let learn = self
@@ -490,7 +338,7 @@ impl PathfinderPrefetcher {
             e.predictions = Vec::new();
             return Vec::new();
         };
-        let fired = self.query_prepared(&rates, key, learn, prepared);
+        let fired = self.query(&rates, key, learn);
 
         // (4) Prediction: high-confidence labels of the firing neurons,
         //     best label first, capped at the prefetch degree and the page
@@ -532,16 +380,6 @@ impl PathfinderPrefetcher {
         self.stats.prefetches_issued += prefetches.len() as u64;
         telemetry::counter!("pf.prefetches.issued", prefetches.len() as u64);
         prefetches
-    }
-}
-
-impl Prefetcher for PathfinderPrefetcher {
-    fn name(&self) -> &str {
-        "PATHFINDER"
-    }
-
-    fn on_access(&mut self, access: &MemoryAccess) -> Vec<Block> {
-        self.on_access_inner(access, None)
     }
 }
 
@@ -729,101 +567,37 @@ mod tests {
         assert!(PathfinderPrefetcher::new(cfg).is_err());
     }
 
-    /// Duty-cycled config whose off phases route through the batched
-    /// frozen-inference path (full-interval readout).
-    fn duty_cfg(snn_cache_entries: usize) -> PathfinderConfig {
+    /// `on_access_run` is `on_access` once per access, on a duty-cycled
+    /// full-interval config whose off phases run frozen queries (fresh
+    /// keys, cache hits and repeats) and whose runs straddle phase
+    /// boundaries.
+    #[test]
+    fn on_access_run_matches_sequential() {
         use crate::config::StdpDutyCycle;
-        PathfinderConfig {
+        let cfg = PathfinderConfig {
             neurons: 20,
             delta_range: 31,
             readout: Readout::FullInterval,
             stdp_duty: StdpDutyCycle::first_n_of_5000(60),
-            snn_cache_entries,
             ..PathfinderConfig::default()
-        }
-    }
-
-    /// A trace with enough stream variety that off-phase segments contain
-    /// fresh keys (compute lanes), repeats (cache hits), and intra-segment
-    /// duplicates.
-    fn varied_trace(n: usize) -> Trace {
-        let accesses = (0..n as u64)
+        };
+        let trace: Trace = (0..600u64)
             .map(|i| {
                 let pc = 0x400 + (i % 4) * 8;
                 let page = i % 7;
                 let off = (i * (2 + i % 3)) % 64;
                 MemoryAccess::new(i, pc, page * 4096 + off * 64)
             })
-            .collect::<Vec<_>>();
-        Trace::from_accesses(accesses)
-    }
-
-    fn assert_run_matches_sequential(cfg: PathfinderConfig, chunk: usize) {
-        let trace = varied_trace(600);
+            .collect();
         let mut seq = PathfinderPrefetcher::new(cfg).unwrap();
         let mut run = PathfinderPrefetcher::new(cfg).unwrap();
+        assert!(run.on_access_run(&[]).is_empty());
         let expected: Vec<Vec<Block>> = trace.accesses().iter().map(|a| seq.on_access(a)).collect();
         let mut got = Vec::new();
-        for chunk in trace.accesses().chunks(chunk) {
+        for chunk in trace.accesses().chunks(37) {
             got.extend(run.on_access_run(chunk));
         }
         assert_eq!(got, expected, "per-access prefetches must match");
-        assert_eq!(
-            run.stats(),
-            seq.stats(),
-            "every stats counter must be invariant under batching"
-        );
-    }
-
-    #[test]
-    fn on_access_run_matches_sequential_on_duty_cycled_streams() {
-        // Chunk size 37 puts phase boundaries mid-chunk, so runs mix
-        // learning and frozen segments.
-        assert_run_matches_sequential(duty_cfg(1024), 37);
-        // With 2 training entries and 28 (PC, page) streams, replay evicts
-        // entries the plan assumed were live, so realized keys miss a
-        // prepared map that is present and run inline as one-lane batches.
-        let evicting = PathfinderConfig {
-            training_table_entries: 2,
-            ..duty_cfg(1024)
-        };
-        assert_run_matches_sequential(evicting, 37);
-    }
-
-    #[test]
-    fn on_access_run_matches_sequential_with_cache_disabled() {
-        // Capacity 0: no memoization anywhere, so every off-phase query —
-        // intra-batch duplicates included — must still run exactly once per
-        // occurrence.
-        assert_run_matches_sequential(duty_cfg(0), 53);
-    }
-
-    #[test]
-    fn on_access_run_matches_sequential_with_one_tick_readout() {
-        // The 1-tick readout never batches; the run path must still be a
-        // faithful sequential replay.
-        let cfg = PathfinderConfig {
-            readout: Readout::OneTick,
-            ..duty_cfg(1024)
-        };
-        assert_run_matches_sequential(cfg, 41);
-    }
-
-    #[test]
-    fn on_access_run_matches_sequential_without_initial_encoding() {
-        // The basic design's "wait for H deltas" branch exercises the
-        // plan's no-query arm.
-        let cfg = PathfinderConfig {
-            initial_access_encoding: false,
-            ..duty_cfg(1024)
-        };
-        assert_run_matches_sequential(cfg, 64);
-    }
-
-    #[test]
-    fn on_access_run_on_empty_run_is_a_noop() {
-        let mut pf = PathfinderPrefetcher::new(duty_cfg(1024)).unwrap();
-        assert!(pf.on_access_run(&[]).is_empty());
-        assert_eq!(pf.stats().accesses, 0);
+        assert_eq!(run.stats(), seq.stats());
     }
 }

@@ -146,60 +146,6 @@ impl SnnQueryCache {
         self.clock += 1;
         self.entries.insert((key, readout), (value, self.clock));
     }
-
-    /// Read-only partition of a batch of query keys into resident hits,
-    /// first-occurrence computes, and intra-batch duplicates, for the
-    /// batched frozen-inference path.
-    ///
-    /// `compute` holds the indices (into `keys`, in order) that need a
-    /// kernel lane; a key repeated within the batch gets exactly one lane —
-    /// its first occurrence — and later occurrences count as `duplicates`,
-    /// to be resolved against that lane's result. This is the guard against
-    /// the latent double-compute of naive batching: without it, a run of
-    /// identical duty-cycled-off queries (the common loopy-access case)
-    /// would burn one lane per occurrence.
-    ///
-    /// The probe never touches LRU stamps or hit/miss counters — the
-    /// planning pass is advisory, and the execution pass's real
-    /// [`SnnQueryCache::get`]/[`SnnQueryCache::insert`] calls keep the
-    /// accounting bit-identical to unbatched serving. When the cache is
-    /// disabled (capacity 0) or `weight_version` doesn't match the resident
-    /// entries, nothing can hit *or* be inserted by the execution pass, so
-    /// every occurrence — duplicates included — gets its own compute lane,
-    /// keeping the kernel presentation count exactly sequential-equal.
-    pub fn probe_batch(&self, weight_version: u64, readout: Readout, keys: &[u64]) -> BatchProbe {
-        let mut probe = BatchProbe::default();
-        if self.capacity == 0 {
-            probe.compute.extend(0..keys.len());
-            return probe;
-        }
-        let resident = self.version == weight_version;
-        let mut seen = std::collections::HashSet::with_capacity(keys.len());
-        for (i, &key) in keys.iter().enumerate() {
-            if resident && self.entries.contains_key(&(key, readout)) {
-                probe.hits += 1;
-            } else if seen.insert(key) {
-                probe.compute.push(i);
-            } else {
-                probe.duplicates += 1;
-            }
-        }
-        probe
-    }
-}
-
-/// Result of a [`SnnQueryCache::probe_batch`]: how one batch of query keys
-/// splits across the cache and itself.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchProbe {
-    /// Keys already resident (would hit on a real lookup).
-    pub hits: usize,
-    /// Indices into the probed key slice needing a kernel lane — the first
-    /// occurrence of each non-resident key, in batch order.
-    pub compute: Vec<usize>,
-    /// Non-resident occurrences that repeat an earlier key in the same
-    /// batch; they resolve against the first occurrence's lane.
-    pub duplicates: usize,
 }
 
 #[cfg(test)]
@@ -284,60 +230,5 @@ mod tests {
         assert_eq!(c.get(1, Readout::OneTick), None);
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.len(), 0);
-    }
-
-    #[test]
-    fn probe_batch_dedups_repeated_keys_onto_one_lane() {
-        let mut c = SnnQueryCache::new(8);
-        c.sync_version(5);
-        c.insert(10, Readout::FullInterval, q(1));
-        // Batch: resident, fresh, repeat-of-fresh, resident again, another
-        // fresh, repeat-of-first-fresh. Only the two first occurrences of
-        // non-resident keys may take kernel lanes.
-        let keys = [10, 20, 20, 10, 30, 20];
-        let probe = c.probe_batch(5, Readout::FullInterval, &keys);
-        assert_eq!(probe.hits, 2);
-        assert_eq!(probe.compute, vec![1, 4], "first occurrences only");
-        assert_eq!(probe.duplicates, 2, "repeats ride the first lane");
-    }
-
-    #[test]
-    fn probe_batch_is_read_only() {
-        let mut c = SnnQueryCache::new(2);
-        c.sync_version(1);
-        c.insert(1, Readout::FullInterval, q(1));
-        let stats = c.stats();
-        let _ = c.probe_batch(1, Readout::FullInterval, &[1, 1, 2, 2]);
-        assert_eq!(c.stats(), stats, "no hit/miss accounting from probes");
-        // LRU stamps untouched: key 1 stays the coldest and is evicted.
-        c.insert(2, Readout::FullInterval, q(2));
-        c.insert(3, Readout::FullInterval, q(3));
-        assert_eq!(c.get(1, Readout::FullInterval), None);
-    }
-
-    #[test]
-    fn probe_batch_respects_readout_and_version() {
-        let mut c = SnnQueryCache::new(4);
-        c.sync_version(1);
-        c.insert(7, Readout::OneTick, q(1));
-        let probe = c.probe_batch(1, Readout::FullInterval, &[7]);
-        assert_eq!((probe.hits, probe.duplicates), (0, 0));
-        assert_eq!(probe.compute, vec![0], "readout is part of the key");
-        let probe = c.probe_batch(2, Readout::OneTick, &[7, 7]);
-        assert_eq!(probe.hits, 0, "stale version cannot hit");
-        assert_eq!(probe.compute, vec![0]);
-        assert_eq!(probe.duplicates, 1);
-    }
-
-    #[test]
-    fn probe_batch_on_disabled_cache_gives_every_occurrence_a_lane() {
-        // With capacity 0 the execution pass can neither hit nor insert, so
-        // deduping here would under-count presentations vs. sequential
-        // serving; every occurrence computes.
-        let c = SnnQueryCache::new(0);
-        let probe = c.probe_batch(1, Readout::FullInterval, &[5, 5, 5]);
-        assert_eq!(probe.hits, 0);
-        assert_eq!(probe.compute, vec![0, 1, 2]);
-        assert_eq!(probe.duplicates, 0);
     }
 }

@@ -3,10 +3,10 @@
 //! Runs a fixed set of microbenchmarks over the hot paths the ROADMAP
 //! cares about (SNN presentation 32-tick event-driven vs the retained
 //! reference kernel, the SIMD-dispatched vs forced-scalar tier pair
-//! (`snn.present32.simd` / `snn.present32.scalar`), the frozen-weight
-//! inference kernel one query per call and 8 or 32 lanes per call
-//! (`snn.present32.frozen_batch{8,32}` vs `snn.present32.frozen_singleton32`,
-//! bit-identical lane outcomes), the 1-tick readout, pixel encoding, per-prefetcher
+//! (`snn.present32.simd` / `snn.present32.scalar`), frozen-weight
+//! inference on one repeated query (`snn.present32.frozen`) and on 32
+//! distinct ones (`snn.present32.frozen_singleton32`, per query), the
+//! 1-tick readout, pixel encoding, per-prefetcher
 //! per-access cost, the duty-cycled cached vs always-on steady-state
 //! pair, the churn-shaped learning cell (`prefetcher.pathfinder.churn`:
 //! 32 fresh duty-cycled streams of 256 accesses), the flat-layout timed replay vs the retained reference engine
@@ -130,11 +130,6 @@ pub struct BenchReport {
     /// requester under the same duty-cycled serving template, so framing
     /// is the only difference.
     pub serve_batch_speedup: f64,
-    /// Paired-median speedup of one 32-lane `present_frozen_batch` call
-    /// over 32 one-lane `present_frozen_batch` calls on an identically
-    /// trained twin network (the PR-10 acceptance figure; target ≥ 1.3x).
-    /// Both sides produce bit-identical lane outcomes.
-    pub frozen_batch_speedup: f64,
     /// The kernel tier this run's SNN suites dispatched to (`"avx2"` or
     /// `"scalar"`), from `pathfinder_snn::active_tier`.
     pub kernel_tier: &'static str,
@@ -292,59 +287,25 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
     suites.push(simd_suite);
     suites.push(scalar_suite);
 
-    // The frozen-weight inference kernel (PR 4): a few training rounds
-    // first so the measured presentation reflects realistic spiking, then
-    // pure frozen queries (no STDP, no traces, weight version fixed), each
-    // a one-lane batch.
+    // Frozen-weight inference (PR 4): a few training rounds first so the
+    // measured presentation reflects realistic spiking, then pure frozen
+    // queries (no STDP, no traces, weight version fixed) — one repeated
+    // query, and 32 distinct delta histories encoded as 32 pixel matrices
+    // (ops = 32, so per-op figures stay per query).
     let mut frozen_net = DiehlCookNetwork::new(cfg.snn_config(), opts.seed).unwrap();
     for _ in 0..8 {
         frozen_net.present(&rates, true);
     }
     suites.push(measure("snn.present32.frozen", 25, 1, || {
-        black_box(frozen_net.present_frozen_batch(black_box(&[&rates])));
+        black_box(frozen_net.present_frozen(black_box(&rates)));
     }));
-
-    // Cross-query batched frozen inference (PR 10): 32 distinct delta
-    // histories encoded as 32 pixel matrices, presented as lockstep lanes
-    // of one `present_frozen_batch` call against 32 one-lane
-    // `present_frozen_batch` calls on a same-seeded, identically trained
-    // twin. The singleton cell keeps its name for baseline continuity.
-    // Lane results are bit-identical across the two sides (pinned by
-    // snn/tests/frozen_batch_equivalence.rs), so the paired ratio isolates
-    // the shared weight-row gathers and query-dimension vectorization.
-    // ops = lanes, so per-op figures stay per query and comparable with
-    // the one-lane cell above.
-    let batch_rates: Vec<Vec<f32>> = (0..32)
+    let distinct_rates: Vec<Vec<f32>> = (0..32)
         .map(|i| encoder.encode(&[1 + (i % 5) as i16, 2 + (i % 7) as i16, 3 + (i % 11) as i16]))
         .collect();
-    let mut batch_net = DiehlCookNetwork::new(cfg.snn_config(), opts.seed).unwrap();
-    let mut single_net = DiehlCookNetwork::new(cfg.snn_config(), opts.seed).unwrap();
-    for _ in 0..8 {
-        batch_net.present(&rates, true);
-        single_net.present(&rates, true);
-    }
-    let lanes32: Vec<&[f32]> = batch_rates.iter().map(|r| r.as_slice()).collect();
-    let (batch32_suite, single32_suite, frozen_batch_speedup) = measure_ratio(
-        "snn.present32.frozen_batch32",
-        "snn.present32.frozen_singleton32",
-        25,
-        32,
-        || {
-            black_box(batch_net.present_frozen_batch(black_box(&lanes32)));
-        },
-        || {
-            for r in &batch_rates {
-                black_box(single_net.present_frozen_batch(black_box(&[r])));
-            }
-        },
-    );
-    suites.push(batch32_suite);
-    suites.push(single32_suite);
-    // The 8-lane cell tracks small bursts (typical serve frame tails),
-    // where fixed per-call costs amortize over fewer lanes.
-    let lanes8: Vec<&[f32]> = batch_rates[..8].iter().map(|r| r.as_slice()).collect();
-    suites.push(measure("snn.present32.frozen_batch8", 25, 8, || {
-        black_box(batch_net.present_frozen_batch(black_box(&lanes8)));
+    suites.push(measure("snn.present32.frozen_singleton32", 25, 32, || {
+        for r in &distinct_rates {
+            black_box(frozen_net.present_frozen(black_box(r)));
+        }
     }));
 
     let mut one_tick_net = DiehlCookNetwork::new(cfg.snn_config(), opts.seed).unwrap();
@@ -704,7 +665,6 @@ pub fn run(opts: &BenchOpts) -> BenchReport {
         sim_replay_speedup,
         snn_simd_speedup,
         serve_batch_speedup,
-        frozen_batch_speedup,
         kernel_tier: pathfinder_snn::active_tier().name(),
         telemetry,
     }
@@ -784,8 +744,6 @@ impl BenchReport {
         json::write_f64(&mut out, self.snn_simd_speedup);
         out.push_str(",\"serve_batch_vs_single_speedup\":");
         json::write_f64(&mut out, self.serve_batch_speedup);
-        out.push_str(",\"frozen_batch_vs_singleton_speedup\":");
-        json::write_f64(&mut out, self.frozen_batch_speedup);
         out.push_str("},\"telemetry\":");
         self.telemetry.write_json(&mut out);
         out.push('}');
@@ -828,10 +786,6 @@ impl BenchReport {
         out.push_str(&format!(
             "Serve daemon: access_batch x16 frames are {:.2}x one access per request (one stream, duty-cycled)\n",
             self.serve_batch_speedup
-        ));
-        out.push_str(&format!(
-            "Frozen inference: one 32-lane batched presentation is {:.2}x 32 one-lane batches\n",
-            self.frozen_batch_speedup
         ));
         out
     }
@@ -1005,9 +959,7 @@ mod tests {
             "snn.present32.simd",
             "snn.present32.scalar",
             "snn.present32.frozen",
-            "snn.present32.frozen_batch32",
             "snn.present32.frozen_singleton32",
-            "snn.present32.frozen_batch8",
             "snn.present1.event",
             "encode.pixel_matrix",
             "prefetcher.nextline",
@@ -1036,7 +988,6 @@ mod tests {
         assert!(rep.pathfinder_cached_speedup.is_finite() && rep.pathfinder_cached_speedup > 0.0);
         assert!(rep.sim_replay_speedup.is_finite() && rep.sim_replay_speedup > 0.0);
         assert!(rep.snn_simd_speedup.is_finite() && rep.snn_simd_speedup > 0.0);
-        assert!(rep.frozen_batch_speedup.is_finite() && rep.frozen_batch_speedup > 0.0);
         assert_eq!(rep.kernel_tier, pathfinder_snn::active_tier().name());
 
         let doc = json::parse(&rep.to_json()).expect("bench JSON parses");

@@ -157,21 +157,14 @@ impl StreamSession {
 
     /// Ingests a run of demand loads back-to-back and returns the blocks
     /// issued for each, in input order, plus the number of frozen SNN
-    /// inferences the run executed (`snn_cache_misses` delta — every
-    /// duty-cycled-off query that missed the memoization cache counts,
-    /// whether it ran as a lane of a shared batch or inline as a one-lane
-    /// batch). A single access is a one-record run.
+    /// inferences the run executed (the `snn_cache_misses` delta: every
+    /// duty-cycled-off query that missed the memoization cache). A single
+    /// access is a one-record run.
     ///
     /// Each access gets exactly the per-access body of
     /// `generate_prefetches` — dedup, `max_degree` truncation, schedule and
-    /// trace bookkeeping. The prefetcher work routes through
-    /// [`PathfinderPrefetcher::on_access_run`], which collects each
-    /// contiguous duty-cycled-off stretch's cache-missing pixel matrices up
-    /// front and presents them as lockstep lanes of one
-    /// `present_frozen_batch` call, so a stream's frozen queries within one
-    /// frame share one pass over the weight matrix. The result is
-    /// bit-identical to calling `on_access` once per record: batching
-    /// changes when the frozen kernel runs, not what it computes.
+    /// trace bookkeeping — after [`PathfinderPrefetcher::on_access_run`],
+    /// which is `on_access` once per record.
     pub fn access_run(&mut self, recs: &[AccessRecord]) -> (Vec<Vec<Block>>, u64) {
         let misses_before = self.prefetcher.stats().snn_cache_misses;
         let accesses: Vec<MemoryAccess> = recs.iter().map(|&rec| Self::to_access(rec)).collect();
@@ -293,13 +286,12 @@ mod tests {
             grouped.stats().snn_cache_misses,
             "every cache-missing frozen query is reported as grouped work"
         );
-        // access_run now routes frozen segments through the batched
-        // `present_frozen_batch` kernel; the drain must stay bit-identical
-        // down to every stats counter, not just the schedule.
+        // The drain must stay bit-identical down to every stats counter,
+        // not just the schedule.
         assert_eq!(
             one_at_a_time.stats(),
             grouped.stats(),
-            "batched inference must leave all counters invariant"
+            "grouping must leave all counters invariant"
         );
         let (single_drain, grouped_drain) = (one_at_a_time.drain(), grouped.drain());
         assert_eq!(single_drain.schedule, grouped_drain.schedule);

@@ -394,7 +394,7 @@ fn status_reports_work_served_on_a_connection_that_has_closed() {
     };
     assert_eq!(counter("serve.accesses"), RECORDS as f64);
     assert!(
-        counter("snn.frozen.batch.calls") > 0.0,
+        counter("snn.frozen.batch.queries") > 0.0,
         "{}",
         status.telemetry_json
     );

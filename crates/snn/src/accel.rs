@@ -12,33 +12,15 @@
 //! or runs with the `PATHFINDER_FORCE_SCALAR` environment override set —
 //! fall back to the portable scalar loops.
 //!
-//! ## Single- and multi-lane state
-//!
-//! The LIF loops are elementwise over per-neuron state, so the *same*
-//! kernels serve a single presentation's `[n]` vectors (`LifLayer`) and
-//! the cross-query batched kernel's lane-major `[lanes × n]` blocks (lane
-//! `l`'s neurons are the contiguous slice `[l * n .. (l + 1) * n]`), where
-//! one call integrates every lane of every neuron. Dispatching both paths
-//! through the same functions makes their per-element bit-identity true by
-//! construction. Spike extraction in `lif_tick` emits ascending flat
-//! indices, which in the lane-major layout is grouped by lane with
-//! ascending neuron order inside each group — exactly the order the scalar
-//! singleton walk produces per lane.
-//!
 //! ## Two kinds of AVX2 kernel
 //!
-//! * **Compiled** (`scale_in_place`, `masked_scaled_add`,
-//!   `masked_add_uniform`, `scaled_add_assign`, `mul_assign`,
-//!   `div_by_theta_gap`): the AVX2 body is the `#[inline(always)]` scalar
-//!   loop compiled under `#[target_feature(enable = "avx2")]`, which the
-//!   compiler vectorizes. Hand-written intrinsics measured no faster.
-//! * **Hand-written** (`sum_rows`, `lif_tick`, `add_assign`):
-//!   register-resident column accumulators with a masked tail, movemask
-//!   spike extraction, and (`add_assign`) whole 8-lane steps on 50-wide
-//!   rows, where the compiled loop's 32-wide unrolling leaves an 18-element
-//!   remainder to 4-wide and scalar epilogues. Compiled, `add_assign` made
-//!   frozen presentations, which call it once per spiking input per lane,
-//!   about 5% slower.
+//! * **Compiled** (`scale_in_place`, `masked_add_uniform`,
+//!   `scaled_add_assign`, `mul_assign`, `div_by_theta_gap`): the AVX2 body
+//!   is the `#[inline(always)]` scalar loop compiled under
+//!   `#[target_feature(enable = "avx2")]`, which the compiler vectorizes.
+//!   Hand-written intrinsics measured no faster.
+//! * **Hand-written** (`sum_rows`, `lif_tick`): register-resident column
+//!   accumulators with a masked tail, and movemask spike extraction.
 //!
 //! ## The bit-identity contract
 //!
@@ -205,51 +187,15 @@ pub(crate) struct LifStepParams {
     pub(crate) refractory: u32,
 }
 
-/// `dst[i] += src[i]` — per-spike weight-row accumulation into a drive
-/// buffer (one call per `(spiking input, lane)` in the batched kernel, so
-/// a weight row loaded once is reused across every lane that spiked it).
-#[inline]
-pub(crate) fn add_assign(tier: KernelTier, dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "accel: slice length mismatch");
-    match tier {
-        KernelTier::Scalar => add_assign_scalar(dst, src),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an Avx2 tier is only constructed after a successful
-        // `is_x86_feature_detected!("avx2")` probe (see KernelTier docs).
-        KernelTier::Avx2 => unsafe { avx2::add_assign(dst, src) },
-    }
-}
-
-/// `xs[i] *= factor` — theta decay with a precomputed per-tick factor,
-/// over one neuron vector or the whole lane-major `[lanes × n]` block.
+/// `xs[i] *= factor` — theta decay with a precomputed factor.
 #[inline]
 pub(crate) fn scale_in_place(tier: KernelTier, xs: &mut [f32], factor: f32) {
     match tier {
         KernelTier::Scalar => scale_in_place_scalar(xs, factor),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
+        // SAFETY: an Avx2 tier is only constructed after a successful
+        // `is_x86_feature_detected!("avx2")` probe (see KernelTier docs).
         KernelTier::Avx2 => unsafe { avx2::scale_in_place(xs, factor) },
-    }
-}
-
-/// `v[i] += currents[i] * gain` for every non-refractory element
-/// (`refrac[i] == 0`) — bulk synaptic injection. Refractory elements keep
-/// their exact input bits.
-#[inline]
-pub(crate) fn masked_scaled_add(
-    tier: KernelTier,
-    v: &mut [f32],
-    refrac: &[u32],
-    currents: &[f32],
-    gain: f32,
-) {
-    assert_eq!(v.len(), refrac.len(), "accel: slice length mismatch");
-    assert_eq!(v.len(), currents.len(), "accel: slice length mismatch");
-    match tier {
-        KernelTier::Scalar => masked_scaled_add_scalar(v, refrac, currents, gain),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
-        KernelTier::Avx2 => unsafe { avx2::masked_scaled_add(v, refrac, currents, gain) },
     }
 }
 
@@ -261,13 +207,12 @@ pub(crate) fn masked_add_uniform(tier: KernelTier, v: &mut [f32], refrac: &[u32]
     match tier {
         KernelTier::Scalar => masked_add_uniform_scalar(v, refrac, current),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
+        // SAFETY: as in `scale_in_place`.
         KernelTier::Avx2 => unsafe { avx2::masked_add_uniform(v, refrac, current) },
     }
 }
 
-/// One fused LIF tick over a whole population (or every lane of one in
-/// the lane-major multi-lane layout), one pass per element:
+/// One fused LIF tick over a whole population, one pass per element:
 ///
 /// 1. **inject** — with `drive = Some(d)`, every non-refractory element
 ///    gets `v[i] += d[i] * gain` (mul then add, two roundings);
@@ -285,8 +230,6 @@ pub(crate) fn masked_add_uniform(tier: KernelTier, v: &mut [f32], refrac: &[u32]
 /// Spiking indices are appended to `spikes_out` (cleared first) in
 /// ascending order — the AVX2 path extracts them from the lane movemask
 /// lowest-lane-first, so the order matches the scalar walk exactly.
-/// Ascending flat order over a lane-major block is grouped by lane, i.e.
-/// each lane sees its own spikes in ascending neuron order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn lif_tick(
@@ -319,12 +262,12 @@ pub(crate) fn lif_tick(
             lif_tick_scalar::<false>(v, refrac, theta, &[], k, 0, spikes_out)
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
+        // SAFETY: as in `scale_in_place`.
         (KernelTier::Avx2, Some(d)) => unsafe {
             avx2::lif_tick::<true>(v, refrac, theta, d, k, spikes_out)
         },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
+        // SAFETY: as in `scale_in_place`.
         (KernelTier::Avx2, None) => unsafe {
             avx2::lif_tick::<false>(v, refrac, theta, &[], k, spikes_out)
         },
@@ -347,7 +290,7 @@ pub(crate) fn scaled_add_assign(tier: KernelTier, dst: &mut [f32], src: &[f32], 
     match tier {
         KernelTier::Scalar => scaled_add_assign_scalar(dst, src, k),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
+        // SAFETY: as in `scale_in_place`.
         KernelTier::Avx2 => unsafe { avx2::scaled_add_assign(dst, src, k) },
     }
 }
@@ -360,7 +303,7 @@ pub(crate) fn div_by_theta_gap(tier: KernelTier, scores: &mut [f32], thetas: &[f
     match tier {
         KernelTier::Scalar => div_by_theta_gap_scalar(scores, thetas, gap),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
+        // SAFETY: as in `scale_in_place`.
         KernelTier::Avx2 => unsafe { avx2::div_by_theta_gap(scores, thetas, gap) },
     }
 }
@@ -402,11 +345,11 @@ where
         KernelTier::Scalar => {
             out.fill(0.0);
             for r in rows {
-                add_assign(tier, out, &weights[r * n..(r + 1) * n]);
+                add_assign_scalar(out, &weights[r * n..(r + 1) * n]);
             }
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`; every row index was checked above.
+        // SAFETY: as in `scale_in_place`; every row index was checked above.
         KernelTier::Avx2 => unsafe { avx2::sum_rows(weights, n, rows, out) },
     }
 }
@@ -439,7 +382,7 @@ pub(crate) fn scale_columns(tier: KernelTier, weights: &mut [f32], n_cols: usize
             }
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `add_assign`.
+        // SAFETY: as in `scale_in_place`.
         KernelTier::Avx2 => unsafe {
             for row in weights.chunks_exact_mut(n_cols) {
                 avx2::mul_assign(row, scales);
@@ -464,15 +407,6 @@ fn add_assign_scalar(dst: &mut [f32], src: &[f32]) {
 fn scale_in_place_scalar(xs: &mut [f32], factor: f32) {
     for x in xs {
         *x *= factor;
-    }
-}
-
-#[inline(always)]
-fn masked_scaled_add_scalar(v: &mut [f32], refrac: &[u32], currents: &[f32], gain: f32) {
-    for ((v, &r), &c) in v.iter_mut().zip(refrac).zip(currents) {
-        if r == 0 {
-            *v += c * gain;
-        }
     }
 }
 
@@ -542,7 +476,7 @@ fn lif_tick_scalar<const INJECT: bool>(
 
 // ---------------------------------------------------------------------------
 // AVX2 kernels. Most are their scalar loops compiled with AVX2 enabled;
-// `add_assign`, `sum_rows` and `lif_tick` process 8 lanes per step by hand
+// `sum_rows` and `lif_tick` process 8 lanes per step by hand
 // with the *same* per-element operations as their scalar counterparts
 // (separate mul/add roundings, masked lanes untouched bitwise).
 // ---------------------------------------------------------------------------
@@ -562,31 +496,8 @@ mod avx2 {
     const LANES: usize = 8;
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-            let s = _mm256_loadu_ps(src.as_ptr().add(i));
-            _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-            i += LANES;
-        }
-        super::add_assign_scalar(&mut dst[i..], &src[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn scale_in_place(xs: &mut [f32], factor: f32) {
         super::scale_in_place_scalar(xs, factor)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn masked_scaled_add(
-        v: &mut [f32],
-        refrac: &[u32],
-        currents: &[f32],
-        gain: f32,
-    ) {
-        super::masked_scaled_add_scalar(v, refrac, currents, gain)
     }
 
     #[target_feature(enable = "avx2")]
@@ -862,8 +773,8 @@ mod tests {
     /// including the paper-default population of 50.
     const TICK_WIDTHS: [usize; 10] = [1, 7, 8, 9, 31, 32, 33, 50, 64, 67];
 
-    /// [`TICK_WIDTHS`] plus more 8-lane tails and lane-major multi-lane
-    /// block sizes (`lanes × 50`) and the 384-input weight row.
+    /// [`TICK_WIDTHS`] plus more 8-lane tails, the 384-input weight row and
+    /// long vectors (`400`, `1600`).
     fn elementwise_widths() -> impl Iterator<Item = usize> {
         TICK_WIDTHS
             .into_iter()
@@ -881,7 +792,6 @@ mod tests {
             let thetas = with_specials(rand_vec(&mut rng, n, 0.0, 40.0), 4);
             let refrac = rand_refrac(&mut rng, n);
 
-            assert_tiers_bitwise("add_assign", &init, |t, d| add_assign(t, d, &src));
             assert_tiers_bitwise("scaled_add_assign", &init, |t, d| {
                 scaled_add_assign(t, d, &src, 0.7371)
             });
@@ -890,9 +800,6 @@ mod tests {
             });
             assert_tiers_bitwise("div_by_theta_gap", &init, |t, d| {
                 div_by_theta_gap(t, d, &thetas, 13.0)
-            });
-            assert_tiers_bitwise("masked_scaled_add", &init, |t, d| {
-                masked_scaled_add(t, d, &refrac, &src, 2.1)
             });
             assert_tiers_bitwise("masked_add_uniform", &init, |t, d| {
                 masked_add_uniform(t, d, &refrac, -17.5)
@@ -918,7 +825,7 @@ mod tests {
             refractory: 5,
         };
         let mut rng = StdRng::seed_from_u64(11);
-        // Single-population widths and lane-major multi-lane block sizes.
+        // Population widths, plus long vectors.
         let widths = TICK_WIDTHS.into_iter().chain([24, 50 * 8, 50 * 32]);
         for (n, theta_decay) in widths.zip([0.999, 0.9999].into_iter().cycle()) {
             // Potentials spanning rest-to-above-threshold so some lanes
@@ -949,8 +856,7 @@ mod tests {
                         theta_decay,
                         &mut spikes,
                     );
-                    // Ascending flat order (grouped by lane in the
-                    // lane-major layout).
+                    // Ascending index order.
                     assert!(spikes.windows(2).all(|w| w[0] < w[1]), "unsorted spikes");
                     all_spikes.push(spikes.clone());
                 }
@@ -1004,7 +910,13 @@ mod tests {
                 let (mut v2, mut refrac2, mut theta2) =
                     (v0.clone(), refrac0.clone(), theta0.clone());
                 if let Some(d) = d {
-                    masked_scaled_add(KernelTier::Scalar, &mut v2, &refrac2, d, 2.1);
+                    // The masked injection pass: refractory elements keep
+                    // their bits.
+                    for ((v, &r), &c) in v2.iter_mut().zip(&refrac2).zip(d) {
+                        if r == 0 {
+                            *v += c * 2.1;
+                        }
+                    }
                 }
                 let mut want = Vec::new();
                 for i in 0..n {
@@ -1051,7 +963,7 @@ mod tests {
                 // The loop `present` ran before the kernel existed.
                 let mut want = vec![0.0f32; n];
                 for &r in &rows {
-                    add_assign(KernelTier::Scalar, &mut want, &weights[r * n..(r + 1) * n]);
+                    add_assign_scalar(&mut want, &weights[r * n..(r + 1) * n]);
                 }
                 let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(

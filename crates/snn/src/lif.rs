@@ -93,11 +93,6 @@ impl LifLayer {
         &self.config
     }
 
-    /// The tick kernel's parameters (shared with the frozen batch kernel).
-    pub(crate) fn tick_params(&self) -> LifStepParams {
-        self.params
-    }
-
     /// Current membrane potentials.
     pub fn potentials(&self) -> &[f32] {
         &self.v
@@ -167,6 +162,12 @@ impl LifLayer {
     /// for excitatory populations by the reference kernel.
     pub fn decay_theta(&mut self, tc_theta: f32) {
         accel::scale_in_place(self.tier, &mut self.theta, (-1.0 / tc_theta).exp());
+    }
+
+    /// Overwrites this layer's adaptive thresholds with `other`'s (same
+    /// population size), without allocating.
+    pub(crate) fn copy_thetas_from(&mut self, other: &LifLayer) {
+        self.theta.copy_from_slice(&other.theta);
     }
 
     /// Resets potentials and refractory state (not theta) for the next input

@@ -14,7 +14,9 @@
 //! decays and scans only the traces that can be non-zero (active inputs,
 //! neurons that fired) and potentiates a firing neuron's synapses from the
 //! active inputs only. All per-presentation buffers live in scratch owned
-//! by the network. The pre-rewrite per-synapse kernel, with the inhibitory
+//! by the network. Frozen inference (the duty cycle's off phase) runs the
+//! same tick loop with STDP off, on a private excitatory layer and a
+//! per-query RNG. The pre-rewrite per-synapse kernel, with the inhibitory
 //! population and full-scan STDP, is retained in [`crate::reference`] as
 //! the equivalence/benchmark baseline.
 
@@ -99,65 +101,6 @@ impl PresentScratch {
     }
 }
 
-/// Reusable buffers for the frozen-inference kernel
-/// ([`DiehlCookNetwork::present_frozen_batch`]). All lane state is private
-/// to the batch — the network's excitatory/inhibitory layers are never
-/// touched — so a frozen query leaves no residue in the network.
-///
-/// Every per-neuron buffer is *lane-major* `[lanes × n_exc]`: lane `l`'s
-/// state is the contiguous slice `[l * n_exc .. (l + 1) * n_exc]`, so the
-/// sparse per-lane phases (drive accumulation, injection, lateral
-/// inhibition) run on one lane's contiguous `n_exc`-element slice and
-/// quiet lanes cost nothing, while the dense always-on phases
-/// (LIF integrate, theta decay) sweep the whole `lanes × n_exc` block in
-/// a single full-width kernel call per tick.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BatchScratch {
-    /// Per-lane active-input indices, concatenated (CSR layout with
-    /// `act_offsets`).
-    act_inputs: Vec<u32>,
-    /// Per-active-input spike probability, parallel to `act_inputs`.
-    act_probs: Vec<f32>,
-    /// CSR offsets: lane `l`'s actives are `act_inputs[act_offsets[l]..
-    /// act_offsets[l + 1]]`.
-    act_offsets: Vec<usize>,
-    /// Per-lane private spike-sampling generators (the frozen purity
-    /// contract: one stream per query, seeded from `frozen_query_seed`).
-    rngs: Vec<StdRng>,
-    /// Lane-major membrane potentials.
-    v: Vec<f32>,
-    /// Lane-major refractory counters.
-    refrac: Vec<u32>,
-    /// Lane-major adaptive thresholds (each lane starts from a copy of
-    /// the network's thetas; the network's own stay untouched).
-    theta: Vec<f32>,
-    /// Lane-major per-tick drive accumulators.
-    drive_lm: Vec<f32>,
-    /// Lane-major expected-drive scores (§3.4 readout / tie-breaker).
-    scores: Vec<f32>,
-    /// Lane-major spike counts.
-    counts: Vec<u32>,
-    /// Lane-major first-fire ticks.
-    first_fire: Vec<Option<u32>>,
-    /// Per-input bitmask of lanes whose input `i` spiked this tick.
-    mask: Vec<u64>,
-    /// Bitmap over inputs with at least one spiking lane this tick — the
-    /// gather's iteration order (ascending input index, no sort).
-    input_bitmap: Vec<u64>,
-    /// This tick's excitatory spikes as flat lane-major indices.
-    spikes: Vec<usize>,
-    /// Per-lane first-tick argmax (drive-score readout).
-    argmax: Vec<usize>,
-    /// Per-lane tick of the first spike.
-    first_fire_tick: Vec<Option<u32>>,
-    /// Per-lane distinct firing neurons in first-fire order.
-    fired_order: Vec<Vec<usize>>,
-    /// Reusable per-lane staging for active-input and score computation.
-    tmp_active: Vec<usize>,
-    /// Reusable per-lane staging for the expected-drive scores.
-    tmp_scores: Vec<f32>,
-}
-
 /// The 3-layer SNN with on-line STDP learning.
 ///
 /// # Examples
@@ -203,7 +146,7 @@ pub struct DiehlCookNetwork {
     /// adaptive thresholds). Bumped by every presentation that may mutate
     /// them — STDP, normalization, and theta adaptation all happen inside
     /// such presentations — and left untouched by the pure frozen-inference
-    /// paths ([`DiehlCookNetwork::present_frozen_batch`],
+    /// paths ([`DiehlCookNetwork::present_frozen`],
     /// [`DiehlCookNetwork::present_one_tick`] with `learn == false`).
     pub(crate) weight_version: u64,
     /// Salt mixed into [`DiehlCookNetwork::frozen_query_seed`], derived
@@ -212,8 +155,10 @@ pub struct DiehlCookNetwork {
     pub(crate) frozen_salt: u64,
     /// Reusable presentation buffers (see [`PresentScratch`]).
     pub(crate) scratch: PresentScratch,
-    /// Reusable batched-inference buffers (see [`BatchScratch`]).
-    pub(crate) batch_scratch: BatchScratch,
+    /// The excitatory layer a frozen query runs on: its thresholds are
+    /// copied from `exc` before each query, so their intra-interval
+    /// adaptation never reaches the network's own.
+    pub(crate) frozen_exc: LifLayer,
     /// The kernel tier the network's dense loops dispatch to (captured at
     /// construction; see [`crate::accel`]).
     pub(crate) tier: KernelTier,
@@ -279,7 +224,7 @@ impl DiehlCookNetwork {
             weight_version: 0,
             frozen_salt: splitmix64(seed ^ 0xF0E1_D2C3_B4A5_9687),
             scratch: PresentScratch::default(),
-            batch_scratch: BatchScratch::default(),
+            frozen_exc: LifLayer::with_tier(cfg.n_exc, cfg.exc_lif, tier),
             tier,
             norm_sums: Vec::new(),
             norm_scales: Vec::new(),
@@ -307,7 +252,7 @@ impl DiehlCookNetwork {
     /// Monotonic version of the inference-relevant state (weights plus
     /// adaptive thresholds). Any presentation that may update that state —
     /// STDP weight updates, normalization, theta bumps/decay — increments
-    /// it; the pure inference paths ([`DiehlCookNetwork::present_frozen_batch`]
+    /// it; the pure inference paths ([`DiehlCookNetwork::present_frozen`]
     /// and [`DiehlCookNetwork::present_one_tick`] with `learn == false`)
     /// leave it unchanged. Callers memoizing query results key their cache
     /// validity on this value.
@@ -316,11 +261,11 @@ impl DiehlCookNetwork {
     }
 
     /// The seed of the private spike-sampling stream a
-    /// [`DiehlCookNetwork::present_frozen_batch`] lane for `rates` draws
-    /// from: a pure hash of the construction-seed salt, the current
-    /// [`weight_version`], and the active pixel intensities. Exposed so equivalence tests can align a
-    /// reference network's generator (via
-    /// [`DiehlCookNetwork::reseed_rng`]) with a frozen lane's stream.
+    /// [`DiehlCookNetwork::present_frozen`] query for `rates` draws from: a
+    /// pure hash of the construction-seed salt, the current
+    /// [`weight_version`], and the active pixel intensities. Exposed so
+    /// equivalence tests can align a reference network's generator (via
+    /// [`DiehlCookNetwork::reseed_rng`]) with a frozen query's stream.
     ///
     /// [`weight_version`]: DiehlCookNetwork::weight_version
     pub fn frozen_query_seed(&self, rates: &[f32]) -> u64 {
@@ -336,8 +281,8 @@ impl DiehlCookNetwork {
     /// Replaces the presentation RNG with a freshly seeded one. Only used
     /// by equivalence tests to put a reference network's generator in
     /// lockstep with the derived per-query stream of a
-    /// [`DiehlCookNetwork::present_frozen_batch`] lane; production paths
-    /// never reseed.
+    /// [`DiehlCookNetwork::present_frozen`] query; production paths never
+    /// reseed.
     pub fn reseed_rng(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
     }
@@ -391,6 +336,65 @@ impl DiehlCookNetwork {
         &mut self,
         rates: &[f32],
         learn: bool,
+        monitor: Option<&mut SpikeMonitor>,
+    ) -> RunOutcome {
+        // Theta adapts in the interval (decay plus per-spike bumps) even
+        // when `learn` is false, so every presentation on the network's own
+        // layer invalidates memoized frozen-query results.
+        self.weight_version = self.weight_version.wrapping_add(1);
+        let _present_span = telemetry::timer!("snn.present");
+        self.run_interval(rates, learn, monitor)
+    }
+
+    /// Frozen-weight inference, the duty-cycled off-phase kernel (§3.5,
+    /// Figure 8): [`DiehlCookNetwork::present`]'s tick loop with STDP off,
+    /// run on private state.
+    ///
+    /// The [`RunOutcome`] is a *pure function* of `rates` and the current
+    /// [`weight_version`], so callers can memoize it exactly: the query
+    /// leaves weights, thetas, traces, the presentation RNG and
+    /// `weight_version` untouched (it only adds one to
+    /// [`DiehlCookNetwork::presentations`]). Purity comes from (a) drawing
+    /// the input spikes from a private generator seeded with
+    /// [`DiehlCookNetwork::frozen_query_seed`] instead of the presentation
+    /// RNG, and (b) running the intra-interval theta dynamics on a private
+    /// excitatory layer whose thresholds are copied from the network's
+    /// before the query. Outcomes therefore equal
+    /// [`DiehlCookNetwork::present`] with `learn == false` on a network
+    /// reseeded to the query seed (pinned by `tests/kernel_equivalence.rs`).
+    ///
+    /// [`weight_version`]: DiehlCookNetwork::weight_version
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rates.len() != n_input`.
+    pub fn present_frozen(&mut self, rates: &[f32]) -> RunOutcome {
+        assert_eq!(
+            rates.len(),
+            self.cfg.n_input,
+            "rates length must equal n_input"
+        );
+        let _present_span = telemetry::timer!("snn.present.batch");
+        telemetry::counter!("snn.frozen.batch.queries", 1);
+        telemetry::counter!("snn.frozen.presentations", 1);
+        let query_rng = StdRng::seed_from_u64(self.frozen_query_seed(rates));
+        let shared_rng = std::mem::replace(&mut self.rng, query_rng);
+        self.frozen_exc.copy_thetas_from(&self.exc);
+        std::mem::swap(&mut self.exc, &mut self.frozen_exc);
+        let outcome = self.run_interval(rates, false, None);
+        std::mem::swap(&mut self.exc, &mut self.frozen_exc);
+        self.rng = shared_rng;
+        outcome
+    }
+
+    /// One `ticks`-long presentation on `self.exc`, drawing from
+    /// `self.rng`: the body both [`DiehlCookNetwork::present`] and
+    /// [`DiehlCookNetwork::present_frozen`] run. STDP, its traces and
+    /// normalization run only when `learn` is true.
+    fn run_interval(
+        &mut self,
+        rates: &[f32],
+        learn: bool,
         mut monitor: Option<&mut SpikeMonitor>,
     ) -> RunOutcome {
         assert_eq!(
@@ -399,17 +403,14 @@ impl DiehlCookNetwork {
             "rates length must equal n_input"
         );
         self.presentations += 1;
-        // Theta adapts below (decay plus per-spike bumps) even when `learn`
-        // is false, so every pass through this kernel invalidates memoized
-        // frozen-query results.
-        self.weight_version = self.weight_version.wrapping_add(1);
-        let _present_span = telemetry::timer!("snn.present");
         let mut input_spike_total = 0u64;
         let mut stdp_updates = 0u64;
         // Fresh state per presentation (weights and theta persist).
         self.exc.reset_state();
-        self.x_pre.fill(0.0);
-        self.x_post.fill(0.0);
+        if learn {
+            self.x_pre.fill(0.0);
+            self.x_post.fill(0.0);
+        }
 
         let n_exc = self.cfg.n_exc;
         // Take the scratch out of `self` so helper methods borrowing
@@ -780,327 +781,7 @@ impl DiehlCookNetwork {
         }
         winner
     }
-
-    /// Frozen-weight inference, the duty-cycled off-phase kernel (§3.5,
-    /// Figure 8): runs N queries as lockstep lanes of one `ticks`-long
-    /// stochastic presentation and returns their outcomes in input order.
-    /// A singleton query is a one-lane batch.
-    ///
-    /// Each lane's [`RunOutcome`] is a *pure function* of its query and the
-    /// current [`weight_version`], so callers can memoize it exactly: it
-    /// does not depend on which other queries share the batch, their order,
-    /// or the chunking below, and the batch leaves weights, thetas, and
-    /// `weight_version` untouched. Purity comes from (a) sampling each
-    /// lane's input spikes from a private generator seeded with
-    /// [`DiehlCookNetwork::frozen_query_seed`] instead of the shared
-    /// presentation RNG, and (b) running the intra-interval theta dynamics
-    /// on lane-private copies of the thresholds. No STDP, eligibility-trace,
-    /// or normalization bookkeeping runs at all.
-    ///
-    /// Each lane follows the event kernel's tick (the one
-    /// [`DiehlCookNetwork::present`] runs): sampling in ascending active
-    /// order with one draw per active input, drive accumulation in
-    /// ascending input order, injection, LIF step, theta decay, lateral
-    /// inhibition, then firer bookkeeping. Spike structure agrees exactly
-    /// with [`DiehlCookNetwork::present_reference`] and
-    /// [`DiehlCookNetwork::present`] run with `learn == false` from the same
-    /// weights/theta and an RNG reseeded to the derived query seed (pinned
-    /// by `tests/kernel_equivalence.rs`).
-    ///
-    /// What batching amortizes:
-    ///
-    /// * **one gather of the weight matrix per tick** — each distinct
-    ///   input spiked by any lane loads its weight row once and
-    ///   accumulates it into every lane that spiked it (ascending input
-    ///   order per lane);
-    /// * **one full-width LIF kernel call per tick** — membrane
-    ///   integrate and theta decay sweep all lanes' contiguous
-    ///   `lanes × n_exc` state through single calls into the shared
-    ///   [`accel`] kernels instead of `2 × lanes` per-layer calls, while
-    ///   the sparse phases (injection, lateral inhibition) touch only the
-    ///   lanes with events this tick — quiet lanes cost nothing;
-    /// * **no inhibitory-layer simulation** — nothing reads the
-    ///   inhibitory population's state, so the batch, like the event
-    ///   kernel, applies only its effect (the lateral suppression).
-    ///
-    /// Batching never changes a lane's arithmetic: each lane keeps private
-    /// theta/membrane/refractory state and a fixed per-element IEEE-754 op
-    /// order (no FMA, no re-associated reductions). Every arithmetic op
-    /// lands on the lane's own contiguous slice, and the full-width sweeps
-    /// are elementwise, so batching changes *where* lane state lives, never
-    /// what is computed on it.
-    ///
-    /// Batches larger than 64 lanes are processed in 64-lane chunks (the
-    /// per-input lane bitmask is a `u64`); chunking is invisible in the
-    /// results. An empty batch is a no-op that still records the batch
-    /// telemetry (`snn.frozen.batch.{calls,queries}` counters and the
-    /// `snn.frozen.batch.lanes` histogram).
-    ///
-    /// [`weight_version`]: DiehlCookNetwork::weight_version
-    ///
-    /// # Panics
-    ///
-    /// Panics if any query's length differs from `n_input`.
-    pub fn present_frozen_batch(&mut self, queries: &[&[f32]]) -> Vec<RunOutcome> {
-        for q in queries {
-            assert_eq!(q.len(), self.cfg.n_input, "rates length must equal n_input");
-        }
-        telemetry::counter!("snn.frozen.batch.calls", 1);
-        telemetry::counter!("snn.frozen.batch.queries", queries.len() as u64);
-        telemetry::histogram!("snn.frozen.batch.lanes", queries.len() as u64);
-        let mut outcomes = Vec::with_capacity(queries.len());
-        if queries.is_empty() {
-            return outcomes;
-        }
-        let _present_span = telemetry::timer!("snn.present.batch");
-        for chunk in queries.chunks(MAX_BATCH_LANES) {
-            self.present_frozen_chunk(chunk, &mut outcomes);
-        }
-        outcomes
-    }
-
-    /// One ≤64-lane chunk of [`DiehlCookNetwork::present_frozen_batch`].
-    fn present_frozen_chunk(&mut self, queries: &[&[f32]], out: &mut Vec<RunOutcome>) {
-        let n_exc = self.cfg.n_exc;
-        let n_input = self.cfg.n_input;
-        let lanes = queries.len();
-        debug_assert!((1..=MAX_BATCH_LANES).contains(&lanes));
-        let nl = n_exc * lanes;
-        let mut s = std::mem::take(&mut self.batch_scratch);
-
-        // Per-lane presentation prep, in the event kernel's order: active
-        // inputs + hoisted probabilities, expected-drive scores (read
-        // against the network's untouched thetas) + first-tick argmax, and
-        // the private query-derived RNG stream.
-        let max_rate = self.encoder.max_rate();
-        s.act_inputs.clear();
-        s.act_probs.clear();
-        s.act_offsets.clear();
-        s.act_offsets.push(0);
-        s.scores.clear();
-        s.argmax.clear();
-        s.rngs.clear();
-        for &rates in queries {
-            self.encoder.active_inputs(rates, &mut s.tmp_active);
-            for &i in &s.tmp_active {
-                s.act_inputs.push(i as u32);
-                s.act_probs.push((rates[i] * max_rate).min(1.0));
-            }
-            s.act_offsets.push(s.act_inputs.len());
-            self.expected_drive_scores_into(rates, &mut s.tmp_scores);
-            s.argmax.push(argmax_f32(&s.tmp_scores));
-            s.scores.extend_from_slice(&s.tmp_scores);
-            s.rngs
-                .push(StdRng::seed_from_u64(self.frozen_query_seed(rates)));
-        }
-
-        // Private lane-major state. Every lane starts where a presentation's
-        // `reset_state` would put the excitatory layer, with its own copy of
-        // the network's thetas.
-        s.v.clear();
-        s.v.resize(nl, self.cfg.exc_lif.v_rest);
-        s.refrac.clear();
-        s.refrac.resize(nl, 0);
-        s.theta.clear();
-        for _ in 0..lanes {
-            s.theta.extend_from_slice(self.exc.thetas());
-        }
-        s.drive_lm.clear();
-        s.drive_lm.resize(nl, 0.0);
-        s.counts.clear();
-        s.counts.resize(nl, 0);
-        s.first_fire.clear();
-        s.first_fire.resize(nl, None);
-        s.first_fire_tick.clear();
-        s.first_fire_tick.resize(lanes, None);
-        if s.fired_order.len() < lanes {
-            s.fired_order.resize_with(lanes, Vec::new);
-        }
-        for f in &mut s.fired_order[..lanes] {
-            f.clear();
-        }
-        s.mask.clear();
-        s.mask.resize(n_input, 0);
-        s.input_bitmap.clear();
-        s.input_bitmap.resize(n_input.div_ceil(64), 0);
-
-        let p = self.exc.tick_params();
-        let gain = self.cfg.input_gain;
-        let inh_strength = self.cfg.inh_strength;
-        let theta_plus = self.cfg.theta_plus;
-        let mut input_spike_total = 0u64;
-
-        for tick in 0..self.cfg.ticks {
-            // Sample every lane's input spikes from its private stream —
-            // same ascending active order and one-draw-per-active
-            // consumption as the event kernel. Spikes land as per-input lane
-            // bitmasks plus a bitmap over spiked inputs, which the gather
-            // walks in ascending input order with no sort. The shifted-bit
-            // writes are branchless: a miss ORs in 0, so the loop carries
-            // no data-dependent branch (a conditional push mispredicts on a
-            // meaningful fraction of draws).
-            let mut spiked_lanes = 0u64;
-            for (l, rng) in s.rngs.iter_mut().enumerate() {
-                let (lo, hi) = (s.act_offsets[l], s.act_offsets[l + 1]);
-                for (&i, &p) in s.act_inputs[lo..hi].iter().zip(&s.act_probs[lo..hi]) {
-                    let hit = u64::from(rng.gen_range(0.0f32..1.0) < p);
-                    let i = i as usize;
-                    s.mask[i] |= hit << l;
-                    s.input_bitmap[i >> 6] |= hit << (i & 63);
-                    spiked_lanes |= hit << l;
-                }
-            }
-
-            if spiked_lanes != 0 {
-                // Zero only the spiked lanes' drive accumulators — quiet
-                // lanes never read theirs this tick.
-                let mut m = spiked_lanes;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    s.drive_lm[l * n_exc..(l + 1) * n_exc].fill(0.0);
-                    m &= m - 1;
-                }
-                // The shared gather: one weight-row load per distinct
-                // spiked input (ascending input order via the bitmap, so
-                // each lane sees the event kernel's accumulation
-                // sequence), fanned out into every lane that spiked it.
-                for w in 0..s.input_bitmap.len() {
-                    let mut bits = s.input_bitmap[w];
-                    s.input_bitmap[w] = 0;
-                    while bits != 0 {
-                        let i = (w << 6) | bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let row = &self.weights[i * n_exc..(i + 1) * n_exc];
-                        let mut lm = s.mask[i];
-                        s.mask[i] = 0;
-                        if telemetry::enabled() {
-                            input_spike_total += u64::from(lm.count_ones());
-                        }
-                        while lm != 0 {
-                            let l = lm.trailing_zeros() as usize;
-                            lm &= lm - 1;
-                            accel::add_assign(
-                                self.tier,
-                                &mut s.drive_lm[l * n_exc..(l + 1) * n_exc],
-                                row,
-                            );
-                        }
-                    }
-                }
-                // Land each spiked lane's drive on its own membrane slice
-                // — the event kernel's masked injection, lane by lane.
-                let mut m = spiked_lanes;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let b = l * n_exc;
-                    let (v_l, refrac_l) = (&mut s.v[b..b + n_exc], &s.refrac[b..b + n_exc]);
-                    accel::masked_scaled_add(
-                        self.tier,
-                        v_l,
-                        refrac_l,
-                        &s.drive_lm[b..b + n_exc],
-                        gain,
-                    );
-                }
-            }
-
-            // Integrate every lane of every neuron and decay theta in one
-            // full-width fused pass (drive already landed above); spikes
-            // come out in ascending flat order, i.e. grouped by lane with
-            // ascending neuron index inside each group.
-            accel::lif_tick(
-                self.tier,
-                &mut s.v,
-                &mut s.refrac,
-                &mut s.theta,
-                None,
-                gain,
-                p,
-                self.theta_decay,
-                &mut s.spikes,
-            );
-
-            // Lateral inhibition + firer bookkeeping, one lane group at a
-            // time: the lane's uniform `-k × inh` suppression, each
-            // firer's own contribution back (refractory-gated), then
-            // counts / first-fire / theta bumps in ascending neuron order
-            // — the event kernel's per-tick sequence. The inhibitory
-            // layer itself is skipped (write-only in frozen runs).
-            let mut si = 0;
-            while si < s.spikes.len() {
-                let l = s.spikes[si] / n_exc;
-                let b = l * n_exc;
-                let mut sj = si + 1;
-                while sj < s.spikes.len() && s.spikes[sj] < b + n_exc {
-                    sj += 1;
-                }
-                let fired = &s.spikes[si..sj];
-                accel::masked_add_uniform(
-                    self.tier,
-                    &mut s.v[b..b + n_exc],
-                    &s.refrac[b..b + n_exc],
-                    -(fired.len() as f32) * inh_strength,
-                );
-                for &idx in fired {
-                    if s.refrac[idx] == 0 {
-                        s.v[idx] += inh_strength;
-                    }
-                }
-                for &idx in fired {
-                    s.counts[idx] += 1;
-                    if s.first_fire[idx].is_none() {
-                        s.first_fire[idx] = Some(tick);
-                        s.fired_order[l].push(idx - b);
-                    }
-                    s.theta[idx] += theta_plus;
-                }
-                s.first_fire_tick[l].get_or_insert(tick);
-                si = sj;
-            }
-        }
-
-        for l in 0..lanes {
-            let counts_l = &s.counts[l * n_exc..(l + 1) * n_exc];
-            let ff_l = &s.first_fire[l * n_exc..(l + 1) * n_exc];
-            let scores_l = &s.scores[l * n_exc..(l + 1) * n_exc];
-            let winner = Self::pick_winner(counts_l, ff_l, scores_l);
-            // The lane's runner-up potential: same ascending max-fold over
-            // end-of-interval potentials as `runner_up_potential`.
-            let runner_up_potential = (0..n_exc)
-                .filter(|j| Some(*j) != winner)
-                .map(|j| s.v[l * n_exc + j])
-                .fold(None, |acc: Option<f32>, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                })
-                .unwrap_or(self.cfg.exc_lif.v_rest);
-            out.push(RunOutcome {
-                spike_counts: counts_l.to_vec(),
-                winner,
-                fired: s.fired_order[l].clone(),
-                first_fire_tick: s.first_fire_tick[l],
-                first_tick_argmax: s.argmax[l],
-                runner_up_potential,
-            });
-        }
-
-        self.presentations += lanes as u64;
-        if telemetry::enabled() {
-            telemetry::counter!("snn.presentations", lanes as u64);
-            telemetry::counter!("snn.frozen.presentations", lanes as u64);
-            telemetry::counter!(
-                "snn.exc.spikes",
-                s.counts.iter().map(|&c| c as u64).sum::<u64>()
-            );
-            telemetry::counter!("snn.input.spikes", input_spike_total);
-        }
-        self.batch_scratch = s;
-    }
 }
-
-/// Lane-chunk ceiling for [`DiehlCookNetwork::present_frozen_batch`]: the
-/// per-input spiked-lane bitmask is a `u64`.
-const MAX_BATCH_LANES: usize = 64;
 
 /// SplitMix64's finalizer-style mixing step; used to derive frozen-query
 /// seeds deterministically without touching the shared RNG.
@@ -1377,13 +1058,8 @@ mod tests {
         assert_eq!(net.weight_version(), 4);
         // The pure inference paths leave the version alone.
         net.present_one_tick(&rates, false);
-        net.present_frozen_batch(&[&rates]);
+        net.present_frozen(&rates);
         assert_eq!(net.weight_version(), 4);
-    }
-
-    /// One frozen query, run as a one-lane batch.
-    fn frozen_one(net: &mut DiehlCookNetwork, rates: &[f32]) -> RunOutcome {
-        net.present_frozen_batch(&[rates]).remove(0)
     }
 
     #[test]
@@ -1395,8 +1071,8 @@ mod tests {
         }
         let weights = net.weights().to_vec();
         let thetas = net.exc.thetas().to_vec();
-        let a = frozen_one(&mut net, &rates);
-        let b = frozen_one(&mut net, &rates);
+        let a = net.present_frozen(&rates);
+        let b = net.present_frozen(&rates);
         assert_eq!(a, b, "identical queries must yield identical outcomes");
         assert_eq!(net.weights(), &weights[..], "weights untouched");
         assert_eq!(net.exc.thetas(), &thetas[..], "thetas untouched");
@@ -1431,113 +1107,54 @@ mod tests {
         assert_eq!(out.first_fire_tick, None);
     }
 
-    /// Bitwise `RunOutcome` equality: `PartialEq` would already reject any
-    /// numeric drift here, but the batch contract is *bit* identity, so the
-    /// float field is compared via `to_bits`.
-    fn assert_outcome_bits_eq(a: &RunOutcome, b: &RunOutcome, lane: usize) {
-        assert_eq!(a.spike_counts, b.spike_counts, "lane {lane} spike_counts");
-        assert_eq!(a.winner, b.winner, "lane {lane} winner");
-        assert_eq!(a.fired, b.fired, "lane {lane} fired order");
-        assert_eq!(
-            a.first_fire_tick, b.first_fire_tick,
-            "lane {lane} first tick"
-        );
-        assert_eq!(
-            a.first_tick_argmax, b.first_tick_argmax,
-            "lane {lane} argmax"
-        );
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Bitwise `RunOutcome` equality: `PartialEq` would accept
+    /// `-0.0 == 0.0` on the analog field.
+    fn assert_outcome_bits_eq(a: &RunOutcome, b: &RunOutcome, what: &str) {
+        assert_eq!(a.spike_counts, b.spike_counts, "{what} spike_counts");
+        assert_eq!(a.winner, b.winner, "{what} winner");
+        assert_eq!(a.fired, b.fired, "{what} fired order");
+        assert_eq!(a.first_fire_tick, b.first_fire_tick, "{what} first tick");
+        assert_eq!(a.first_tick_argmax, b.first_tick_argmax, "{what} argmax");
         assert_eq!(
             a.runner_up_potential.to_bits(),
             b.runner_up_potential.to_bits(),
-            "lane {lane} runner-up potential bits"
+            "{what} runner-up potential bits"
         );
     }
 
-    fn trained_small_net(seed: u64) -> DiehlCookNetwork {
-        let mut net = DiehlCookNetwork::new(small_cfg(), seed).unwrap();
-        for idxs in [[2usize, 10, 19], [0, 1, 2], [5, 11, 23], [3, 9, 20]] {
-            net.present(&pattern(&idxs, 24), true);
-        }
-        net
-    }
-
-    /// Every lane of a multi-lane batch is bit-identical to the same query
-    /// run as a one-lane batch, both before and after the batch: a lane's
-    /// outcome does not depend on the lanes it shares a batch with.
+    /// Frozen queries share the learning path's body, scratch and network
+    /// struct, but must leave learning exactly as if they never ran: the
+    /// presentation RNG, traces, thetas, weights and version all stay put.
     #[test]
-    fn frozen_batch_lanes_match_one_lane_batches_bitwise() {
-        let mut net = trained_small_net(8);
-        let patterns: Vec<Vec<f32>> = vec![
+    fn frozen_queries_leave_learning_untouched() {
+        let mut plain = DiehlCookNetwork::new(small_cfg(), 19).unwrap();
+        let mut interleaved = DiehlCookNetwork::new(small_cfg(), 19).unwrap();
+        let patterns = [
             pattern(&[2, 10, 19], 24),
             pattern(&[0, 1, 2], 24),
             pattern(&[5, 11, 23], 24),
-            pattern(&[3, 9, 20], 24),
-            pattern(&[7, 8, 15, 21], 24),
-            vec![0.0; 24], // an all-quiet lane must ride along unperturbed
-            pattern(&[4], 24),
-            pattern(&[0, 6, 13, 18, 22], 24),
+            vec![0.0; 24],
+            pattern(&[3, 9, 15, 20], 24),
         ];
-        for lanes in [1usize, 2, 3, 5, 8] {
-            let queries: Vec<&[f32]> = patterns[..lanes].iter().map(|p| p.as_slice()).collect();
-            let before: Vec<RunOutcome> = queries.iter().map(|q| frozen_one(&mut net, q)).collect();
-            let weights = net.weights().to_vec();
-            let thetas = net.exc.thetas().to_vec();
-            let version = net.weight_version();
-            let pres = net.presentations();
-
-            let batch = net.present_frozen_batch(&queries);
-
-            assert_eq!(batch.len(), lanes);
-            assert_eq!(net.weights(), &weights[..], "weights untouched");
-            assert_eq!(net.exc.thetas(), &thetas[..], "thetas untouched");
-            assert_eq!(net.weight_version(), version, "version untouched");
-            assert_eq!(
-                net.presentations(),
-                pres + lanes as u64,
-                "one presentation counted per lane"
-            );
-            for (l, q) in queries.iter().enumerate() {
-                assert_outcome_bits_eq(&batch[l], &before[l], l);
-                assert_outcome_bits_eq(&batch[l], &frozen_one(&mut net, q), l);
-            }
+        for round in 0..12 {
+            let rates = &patterns[round % patterns.len()];
+            // Some frozen queries repeat the learning input, some do not.
+            interleaved.present_frozen(rates);
+            interleaved.present_frozen(&patterns[(round + 2) % patterns.len()]);
+            let a = plain.present(rates, true);
+            let b = interleaved.present(rates, true);
+            assert_outcome_bits_eq(&a, &b, &format!("learning round {round}"));
+            assert_eq!(bits(plain.weights()), bits(interleaved.weights()));
+            assert_eq!(bits(plain.exc.thetas()), bits(interleaved.exc.thetas()));
+            assert_eq!(plain.weight_version(), interleaved.weight_version());
         }
-    }
-
-    #[test]
-    fn frozen_batch_empty_is_a_noop() {
-        let mut net = trained_small_net(11);
-        let pres = net.presentations();
-        let out = net.present_frozen_batch(&[]);
-        assert!(out.is_empty());
-        assert_eq!(net.presentations(), pres);
-    }
-
-    #[test]
-    fn frozen_batch_duplicate_lanes_agree() {
-        let mut net = trained_small_net(13);
-        let p = pattern(&[2, 10, 19], 24);
-        let q = pattern(&[0, 1, 2], 24);
-        let out = net.present_frozen_batch(&[&p, &q, &p, &p, &q]);
-        assert_outcome_bits_eq(&out[0], &out[2], 2);
-        assert_outcome_bits_eq(&out[0], &out[3], 3);
-        assert_outcome_bits_eq(&out[1], &out[4], 4);
-        assert_outcome_bits_eq(&out[0], &frozen_one(&mut net, &p), 0);
-        assert_outcome_bits_eq(&out[1], &frozen_one(&mut net, &q), 1);
-    }
-
-    #[test]
-    fn frozen_batch_chunks_beyond_64_lanes() {
-        // 67 lanes forces a 64-lane chunk plus a 3-lane remainder; results
-        // must be indistinguishable from one-lane batches.
-        let mut net = trained_small_net(17);
-        let patterns: Vec<Vec<f32>> = (0..67)
-            .map(|i| pattern(&[i % 24, (i * 7 + 3) % 24, (i * 5 + 1) % 24], 24))
-            .collect();
-        let queries: Vec<&[f32]> = patterns.iter().map(|p| p.as_slice()).collect();
-        let batch = net.present_frozen_batch(&queries);
-        assert_eq!(batch.len(), 67);
-        for (l, q) in queries.iter().enumerate() {
-            assert_outcome_bits_eq(&batch[l], &frozen_one(&mut net, q), l);
-        }
+        let a = plain.present_frozen(&patterns[0]);
+        let b = interleaved.present_frozen(&patterns[0]);
+        assert_outcome_bits_eq(&a, &b, "final frozen query");
+        assert_eq!(interleaved.presentations(), plain.presentations() + 24);
     }
 }

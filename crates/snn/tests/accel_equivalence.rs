@@ -83,16 +83,18 @@ proptest! {
     }
 
     /// The pure inference paths agree bitwise too: frozen-weight queries
-    /// (derived RNG stream, theta snapshot/restore) and the §3.4 1-tick
-    /// readout, after a few rounds of training on each side.
+    /// (derived RNG stream, private thetas) and the §3.4 1-tick readout,
+    /// after a few rounds of training on each side.
     #[test]
     fn tiers_agree_bitwise_on_inference(
         seed in 0u64..1_000,
         n_exc in 1usize..14,
+        // Inhibition 0..40, as in the learning case above.
+        inh_tenths in 0u32..400,
         pattern in prop::collection::vec(0usize..16, 1..5),
         train_rounds in 0usize..4,
     ) {
-        let cfg = small_cfg(16, n_exc, 17.5);
+        let cfg = small_cfg(16, n_exc, inh_tenths as f32 / 10.0);
         let mut native = DiehlCookNetwork::new(cfg, seed).unwrap();
         let mut scalar = DiehlCookNetwork::with_kernel_tier(cfg, seed, KernelTier::Scalar).unwrap();
 
@@ -112,8 +114,8 @@ proptest! {
             scalar.frozen_query_seed(&rates)
         );
         // …and the frozen kernels must then agree on everything, exactly.
-        let a = native.present_frozen_batch(&[&rates]);
-        let b = scalar.present_frozen_batch(&[&rates]);
+        let a = native.present_frozen(&rates);
+        let b = scalar.present_frozen(&rates);
         prop_assert_eq!(a, b, "frozen outcome diverged across tiers");
 
         prop_assert_eq!(
@@ -187,8 +189,8 @@ fn paper_sized_network_is_tier_pinned() {
         "learned weights diverged bitwise"
     );
 
-    let a = native.present_frozen_batch(&[&rates]);
-    let b = scalar.present_frozen_batch(&[&rates]);
+    let a = native.present_frozen(&rates);
+    let b = scalar.present_frozen(&rates);
     assert_eq!(a, b, "frozen outcome diverged across tiers");
     assert_eq!(
         native.present_one_tick(&rates, false),

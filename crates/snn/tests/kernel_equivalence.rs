@@ -135,9 +135,8 @@ proptest! {
         prop_assert_eq!(reference.weights(), &frozen[..]);
     }
 
-    /// The frozen-inference kernel, run as a one-lane
-    /// `present_frozen_batch`, pins against the reference kernel with
-    /// learning disabled: train two networks in
+    /// The frozen-inference path, `present_frozen`, pins against the
+    /// reference kernel with learning disabled: train two networks in
     /// lockstep through the *same* kernel (bit-identical state), then align
     /// the reference's shared RNG with the frozen kernel's derived
     /// per-query stream — winner, fired order, and spike counts must agree
@@ -178,7 +177,7 @@ proptest! {
         for round in 0..2 {
             let mut reference = reference_base.clone();
             reference.reseed_rng(frozen.frozen_query_seed(&rates));
-            let a = frozen.present_frozen_batch(&[&rates]).remove(0);
+            let a = frozen.present_frozen(&rates);
             let b = reference.present_reference(&rates, false);
             prop_assert_eq!(
                 a.spike_counts.clone(), b.spike_counts.clone(),
@@ -205,38 +204,45 @@ proptest! {
         prop_assert_eq!(frozen.frozen_query_seed(&rates), seed_before);
     }
 
-    /// A one-lane `present_frozen_batch` also matches the production
-    /// event-driven kernel run with `learn == false` on the same derived
-    /// stream — the frozen path differs only in where the RNG comes from
-    /// and in keeping theta adaptation lane-private.
+    /// `present_frozen` is the production event-driven kernel run with
+    /// `learn == false` on the derived query stream, on private thetas, so
+    /// the two agree *bitwise* — across inhibition strengths, training
+    /// histories, graded intensities and the all-quiet query.
     #[test]
     fn frozen_kernel_agrees_with_event_kernel(
         seed in 0u64..1_000,
-        n_exc in 1usize..10,
-        pattern in prop::collection::vec(0usize..16, 1..5),
+        n_exc in 1usize..12,
+        // Inhibition 0..40, as in the learning case above.
+        inh_tenths in 0u32..400,
+        pattern in prop::collection::vec(0usize..16, 0..5),
+        intensity_pct in 30u32..101,
+        train_rounds in 0usize..4,
     ) {
-        let cfg = small_cfg(16, n_exc, 17.5);
+        let cfg = small_cfg(16, n_exc, inh_tenths as f32 / 10.0);
         let mut frozen = DiehlCookNetwork::new(cfg, seed).unwrap();
         let mut event = DiehlCookNetwork::new(cfg, seed).unwrap();
 
         let mut rates = vec![0.0f32; 16];
         for &i in &pattern {
-            rates[i] = 1.0;
+            rates[i] = intensity_pct as f32 / 100.0;
+        }
+        for _ in 0..train_rounds {
+            frozen.present(&rates, true);
+            event.present(&rates, true);
         }
 
         event.reseed_rng(frozen.frozen_query_seed(&rates));
-        let a = frozen.present_frozen_batch(&[&rates]).remove(0);
+        let a = frozen.present_frozen(&rates);
         let b = event.present(&rates, false);
         prop_assert_eq!(a.spike_counts, b.spike_counts);
         prop_assert_eq!(a.winner, b.winner);
         prop_assert_eq!(a.fired, b.fired);
         prop_assert_eq!(a.first_fire_tick, b.first_fire_tick);
         prop_assert_eq!(a.first_tick_argmax, b.first_tick_argmax);
-        prop_assert!(
-            (a.runner_up_potential - b.runner_up_potential).abs()
-                <= ANALOG_TOL * b.runner_up_potential.abs().max(1.0),
-            "runner-up potential outside fp tolerance: {} vs {}",
-            a.runner_up_potential, b.runner_up_potential
+        prop_assert_eq!(
+            a.runner_up_potential.to_bits(),
+            b.runner_up_potential.to_bits(),
+            "runner-up potential bits"
         );
     }
 }

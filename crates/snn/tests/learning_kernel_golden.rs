@@ -11,8 +11,8 @@
 //! * every [`RunOutcome`] field (the analog runner-up potential as raw
 //!   bits),
 //! * the final weight matrix (raw bits), and
-//! * the outcomes of a post-training [`DiehlCookNetwork::present_frozen_batch`],
-//!   which read the learned adaptive thresholds.
+//! * the outcomes of post-training [`DiehlCookNetwork::present_frozen`]
+//!   queries, which read the learned adaptive thresholds.
 //!
 //! Any change to the bits a learning presentation produces — an operation
 //! reordered, a threshold moved, a trace skipped that was live — changes
@@ -143,9 +143,8 @@ fn run_seed(seed: u64, presentations: usize, h: &mut Fnv) {
         .map(|&d| encode(d))
         .chain((0..4).map(|k| pattern(k, &pool, &mut state)))
         .collect();
-    let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-    for out in net.present_frozen_batch(&refs) {
-        h.outcome(&out);
+    for q in &queries {
+        h.outcome(&net.present_frozen(q));
     }
 }
 

@@ -45,6 +45,10 @@ pub struct SnnCacheStats {
 
 /// A bounded LRU map from (packed matrix key, readout) to a frozen query
 /// result, valid for exactly one SNN weight version.
+///
+/// The map starts empty and grows with use; `capacity` bounds it by
+/// eviction. LRU stamps are unique, so the victim never depends on the
+/// map's layout.
 #[derive(Debug, Clone)]
 pub struct SnnQueryCache {
     capacity: usize,
@@ -63,7 +67,7 @@ impl SnnQueryCache {
             capacity,
             version: 0,
             clock: 0,
-            entries: HashMap::with_capacity(capacity.min(4096)),
+            entries: HashMap::new(),
             stats: SnnCacheStats::default(),
         }
     }

@@ -39,7 +39,10 @@ pub struct TrainingEntry {
 ///
 /// Eviction is generational: when the table reaches twice its configured
 /// capacity the least-recently-touched half is dropped, which bounds memory
-/// like the paper's 1K-row CAM while staying O(1) amortized.
+/// like the paper's 1K-row CAM while staying O(1) amortized. The map
+/// starts empty and grows with the rows actually touched: the capacity is
+/// an eviction bound, not a reservation. Eviction ranks rows by unique
+/// recency stamps, so the map's layout never changes which rows survive.
 #[derive(Debug, Clone)]
 pub struct TrainingTable {
     entries: HashMap<(u64, u64), TrainingEntry>,
@@ -57,7 +60,7 @@ impl TrainingTable {
     pub fn new(capacity: usize, history: usize) -> Self {
         assert!(capacity > 0 && history > 0, "capacity and history required");
         TrainingTable {
-            entries: HashMap::with_capacity(2 * capacity),
+            entries: HashMap::new(),
             capacity,
             clock: 0,
             history,

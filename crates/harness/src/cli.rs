@@ -27,7 +27,7 @@
 //!          dispatched vs pinned-scalar pair, the serve daemon's
 //!          stream throughput (singleton and `access_batch`
 //!          frame cells), one end-to-end report cell.
-//!          Writes BENCH_pr21.json (override with --bench-out). With
+//!          Writes bench_report.json (override with --bench-out). With
 //!          --baseline <json> the run becomes a gate: exits nonzero when
 //!          any suite's median regressed more than --threshold percent
 //!          (default 40) versus the baseline document; snn.*, sim.*, and
@@ -87,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
     let mut workloads: Vec<Workload> = Workload::ALL.to_vec();
     let mut baseline: Option<String> = None;
     let mut threshold = 40.0f64;
-    let mut bench_out = String::from("BENCH_pr21.json");
+    let mut bench_out = String::from("bench_report.json");
     let mut socket = String::from("/tmp/pathfinder-serve.sock");
     let mut shards = 4usize;
     let mut clients = 8usize;

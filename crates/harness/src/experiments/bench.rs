@@ -18,7 +18,7 @@
 //! `access_batch` frames (`serve.throughput.batch{16,256}`), two clients
 //! whose 64-record frames alternate stripes (`serve.throughput.contended`),
 //! and one end-to-end report cell), then emits the results as
-//! `BENCH_pr21.json` (the `--bench-out` default): suite → median ns/op +
+//! `bench_report.json` (the `--bench-out` default): suite → median ns/op +
 //! throughput, the dispatched kernel tier, plus a telemetry snapshot of the
 //! end-to-end cell.
 //!
@@ -699,7 +699,8 @@ fn steady_delta_trace(loads: usize) -> Trace {
 }
 
 impl BenchReport {
-    /// Renders the machine-readable JSON document (`BENCH_pr21.json`).
+    /// Renders the machine-readable JSON document (`bench_report.json` by
+    /// default; committed snapshots are named `BENCH_pr*.json`).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\"schema\":");

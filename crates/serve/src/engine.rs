@@ -29,10 +29,14 @@
 //!
 //! A drain removes slots from the map under the stripe lock, then takes
 //! each session out under its slot's lock and runs the timed replay after
-//! releasing it. A request that looked a slot up before the drain removed
-//! it either locks the slot first, and so is in the drained result, or
-//! finds its session gone and looks the stream up again: an access then
-//! lands in a fresh stream, exactly as if it had arrived after the drain.
+//! releasing it. The replay runs on the [`Requester`]'s own simulator,
+//! built on its first drain and reset between replays, so a connection
+//! that drains stream after stream reuses one set of cache arrays instead
+//! of allocating and faulting in a fresh ~1 MiB per drain. A request that
+//! looked a slot up before the drain removed it either locks the slot
+//! first, and so is in the drained result, or finds its session gone and
+//! looks the stream up again: an access then lands in a fresh stream,
+//! exactly as if it had arrived after the drain.
 //! A full drain raises the `draining` flag before it walks the stripes,
 //! and every lookup checks that flag under the stripe lock, so once a full
 //! drain has begun per-stream requests are answered `"daemon is
@@ -50,7 +54,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use pathfinder_sim::Block;
+use pathfinder_sim::{Block, Simulator};
 use pathfinder_telemetry::{
     counter, histogram, record_into, Histogram, HistogramSnapshot, MemoryRecorder, Recorder,
 };
@@ -175,18 +179,17 @@ impl ServeEngine {
 
     /// Creates a [`Requester`], a per-connection handle on the engine.
     pub fn requester(&self) -> Requester<'_> {
-        Requester { engine: self }
+        Requester {
+            engine: self,
+            sim: None,
+        }
     }
 
-    /// Serves one typed request on the calling thread, recording its
-    /// engine-boundary latency. This is the single entry point shared by
-    /// the Unix-socket transport and in-process callers.
+    /// Serves one typed request on the calling thread through a one-shot
+    /// [`Requester`]: a drain replays on a simulator built for this request
+    /// alone. Callers that drain repeatedly should hold a `Requester`.
     pub fn request(&self, req: Request) -> Response {
-        let verb = verb_index(&req);
-        let start = Instant::now();
-        let resp = self.serve(req).unwrap_or_else(Response::Error);
-        self.record_latency(verb, start.elapsed());
-        resp
+        self.requester().request(req)
     }
 
     fn record_latency(&self, verb: usize, elapsed: Duration) {
@@ -197,7 +200,7 @@ impl ServeEngine {
             .record(nanos);
     }
 
-    fn serve(&self, req: Request) -> Result<Response, String> {
+    fn serve(&self, req: Request, sim: &mut Option<Simulator>) -> Result<Response, String> {
         match req {
             Request::Access { stream, access } => {
                 let mut blocks = self.access_batch(vec![(stream, access)], false)?;
@@ -247,13 +250,13 @@ impl ServeEngine {
                     .live
                     .remove(&stream)
                     .ok_or_else(|| format!("unknown stream {stream}"))?;
-                let drained = self.drain_slots(self.stripe_index(stream), vec![slot]);
+                let drained = self.drain_slots(self.stripe_index(stream), vec![slot], sim);
                 if drained.is_empty() {
                     return Err(poisoned_stream(stream));
                 }
                 Ok(Response::Drained(drained))
             }
-            Request::Drain { stream: None } => self.drain_all(),
+            Request::Drain { stream: None } => self.drain_all(sim),
         }
     }
 
@@ -401,11 +404,16 @@ impl ServeEngine {
 
     /// Drains `slots`, already removed from stripe `index`'s map: takes
     /// each session out under its slot's lock, replays the sessions outside
-    /// every lock, then folds the slots' and the replay's telemetry into
-    /// the stripe. A poisoned slot's telemetry is folded in too, but its
-    /// session, which the panic may have left half-updated, is dropped
-    /// without a replay.
-    fn drain_slots(&self, index: usize, slots: Vec<Arc<Mutex<Slot>>>) -> Vec<DrainedStream> {
+    /// every lock on `sim` (built here if absent), then folds the slots'
+    /// and the replay's telemetry into the stripe. A poisoned slot's
+    /// telemetry is folded in too, but its session, which the panic may
+    /// have left half-updated, is dropped without a replay.
+    fn drain_slots(
+        &self,
+        index: usize,
+        slots: Vec<Arc<Mutex<Slot>>>,
+        sim: &mut Option<Simulator>,
+    ) -> Vec<DrainedStream> {
         let local = MemoryRecorder::new();
         let sessions: Vec<StreamSession> = slots
             .iter()
@@ -420,7 +428,13 @@ impl ServeEngine {
             .collect();
         let drained = record_into(&local, || {
             counter!("serve.drains", sessions.len());
-            sessions.into_iter().map(StreamSession::drain).collect()
+            sessions
+                .into_iter()
+                .map(|session| {
+                    let sim = sim.get_or_insert_with(|| Simulator::new(session.sim_config()));
+                    session.drain_on(sim)
+                })
+                .collect()
         });
         if let Ok(stripe) = self.stripes[index].lock() {
             stripe.telemetry.merge(&local);
@@ -476,12 +490,12 @@ impl ServeEngine {
 
     /// Full drain: raises `draining`, then empties every stripe's map (one
     /// lock at a time) and drains its slots, sorted by stream id.
-    fn drain_all(&self) -> Result<Response, String> {
+    fn drain_all(&self, sim: &mut Option<Simulator>) -> Result<Response, String> {
         self.draining.store(true, Ordering::SeqCst);
         let mut drained = Vec::new();
         for index in 0..self.stripes.len() {
             let slots = std::mem::take(&mut self.lock(index)?.live);
-            drained.extend(self.drain_slots(index, slots.into_values().collect()));
+            drained.extend(self.drain_slots(index, slots.into_values().collect(), sim));
         }
         drained.sort_by_key(|d| d.stream);
         Ok(Response::Drained(drained))
@@ -489,16 +503,28 @@ impl ServeEngine {
 }
 
 /// A per-connection (or per-client-thread) handle on the engine. Requests
-/// run on the calling thread, so the handle holds nothing but the engine.
+/// run on the calling thread; the handle holds the engine and the simulator
+/// its drains replay on, built on the first drain and rebuilt only if a
+/// session's simulator configuration differs.
 #[derive(Debug)]
 pub struct Requester<'a> {
     engine: &'a ServeEngine,
+    sim: Option<Simulator>,
 }
 
 impl Requester<'_> {
-    /// Serves one typed request; see [`ServeEngine::request`].
+    /// Serves one typed request on the calling thread, recording its
+    /// engine-boundary latency. This is the single entry point shared by
+    /// the Unix-socket transport and in-process callers.
     pub fn request(&mut self, req: Request) -> Response {
-        self.engine.request(req)
+        let engine = self.engine;
+        let verb = verb_index(&req);
+        let start = Instant::now();
+        let resp = engine
+            .serve(req, &mut self.sim)
+            .unwrap_or_else(Response::Error);
+        engine.record_latency(verb, start.elapsed());
+        resp
     }
 }
 
@@ -872,10 +898,13 @@ mod tests {
         // One thread sends accesses to stream 5 while another drains it
         // over and over. Each access lands either in a stream some drain
         // took or in the one left live at the end: none is lost or
-        // counted twice.
+        // counted twice. The accesser waits after its first access until
+        // the drainer has caught the stream live once, so the race always
+        // includes a drain, however fast the accesses run.
         const ACCESSES: u64 = 300;
         let engine = ServeEngine::new(2);
         let done = AtomicBool::new(false);
+        let drained_once = AtomicBool::new(false);
         let drained_accesses = std::thread::scope(|scope| {
             let accesser = scope.spawn(|| {
                 for i in 0..ACCESSES {
@@ -884,6 +913,9 @@ mod tests {
                         access: rec(i),
                     });
                     assert!(matches!(resp, Response::Prefetches(_)), "{resp:?}");
+                    while i == 0 && !drained_once.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
                 }
                 done.store(true, Ordering::SeqCst);
             });
@@ -897,6 +929,7 @@ mod tests {
                             assert_eq!(d[0].pf.accesses, d[0].report.loads);
                             total += d[0].pf.accesses;
                             drains += 1;
+                            drained_once.store(true, Ordering::SeqCst);
                         }
                         Response::Error(e) => assert_eq!(e, "unknown stream 5"),
                         other => panic!("drain replied {other:?}"),

@@ -127,6 +127,11 @@ impl StreamSession {
         *self.prefetcher.stats()
     }
 
+    /// The simulator configuration the drain replays with.
+    pub fn sim_config(&self) -> SimConfig {
+        self.sim
+    }
+
     /// Converts a wire record into the simulator's access form.
     fn to_access(rec: AccessRecord) -> MemoryAccess {
         let access = MemoryAccess::new(rec.instr_id, rec.pc, rec.vaddr);
@@ -182,10 +187,22 @@ impl StreamSession {
     /// against the accumulated schedule (the same computation the batch
     /// path performs) and packages the result for the `drain` reply.
     pub fn drain(self) -> DrainedStream {
+        let mut sim = Simulator::new(self.sim);
+        self.drain_on(&mut sim)
+    }
+
+    /// [`StreamSession::drain`] replaying on `sim`, which a caller reuses
+    /// across drains so each replay does not allocate and fault in fresh
+    /// cache arrays. `sim` is rebuilt first if its configuration is not the
+    /// session's; the result is bit-identical to `drain`.
+    pub fn drain_on(self, sim: &mut Simulator) -> DrainedStream {
+        if *sim.config() != self.sim {
+            *sim = Simulator::new(self.sim);
+        }
         let report = if self.trace.is_empty() {
             SimReport::default()
         } else {
-            Simulator::new(self.sim).run(&self.trace, &self.schedule)
+            sim.replay(&self.trace, &self.schedule)
         };
         DrainedStream {
             stream: self.stream,

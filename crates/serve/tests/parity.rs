@@ -12,7 +12,9 @@
 
 use pathfinder_core::PathfinderPrefetcher;
 use pathfinder_prefetch::generate_prefetches;
-use pathfinder_serve::{AccessRecord, Request, Response, ServeEngine, StreamTemplate};
+use pathfinder_serve::{
+    AccessRecord, Request, Response, ServeEngine, StreamSession, StreamTemplate,
+};
 use pathfinder_sim::{MemoryAccess, Simulator, Trace};
 use pathfinder_traces::Workload;
 
@@ -221,4 +223,39 @@ fn per_stream_drain_matches_batch_too() {
     assert_eq!(drained[0].schedule, schedule);
     assert_eq!(drained[0].report, report);
     assert_eq!(drained[0].pf, stats);
+}
+
+#[test]
+fn one_requester_reuses_its_drain_simulator_bit_for_bit() {
+    // One connection's requester drains a long stream, a short one and a
+    // long one again, replaying all three on the one simulator it keeps.
+    // Each drain must equal `StreamSession::drain` on a fresh simulator.
+    // The short stream is a prefix of the first, so every block it loads
+    // was resident when the previous replay ended.
+    let mut template = StreamTemplate::default();
+    template.config.stdp_duty = pathfinder_core::StdpDutyCycle::first_n_of_5000(250);
+    let engine = ServeEngine::with_template(template.clone(), 2);
+    let mut requester = engine.requester();
+    let streams = [
+        (11u64, Workload::Cc5.generate(5_376, 1)),
+        (12, Workload::Cc5.generate(256, 1)),
+        (13, Workload::Cc5.generate(5_376, 2)),
+    ];
+    for (stream, trace) in &streams {
+        let records: Vec<AccessRecord> = trace.iter().map(record).collect();
+        let mut session = StreamSession::new(*stream, &template).expect("valid template");
+        for frame in records.chunks(64) {
+            let resp = requester.request(Request::AccessBatch {
+                accesses: frame.iter().map(|&r| (*stream, r)).collect(),
+            });
+            assert!(matches!(resp, Response::PrefetchBatch(_)), "{resp:?}");
+            session.access_run(frame);
+        }
+        let Response::Drained(drained) = requester.request(Request::Drain {
+            stream: Some(*stream),
+        }) else {
+            panic!("drain of stream {stream} failed")
+        };
+        assert_eq!(drained, [session.drain()], "stream {stream}");
+    }
 }

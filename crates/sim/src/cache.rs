@@ -22,9 +22,12 @@
 //! Set selection uses a bitmask when the set count is a power of two (the
 //! Table 3 geometries all are) and falls back to modulo otherwise; the two
 //! paths are pinned against each other and against the retained
-//! [`crate::reference::ReferenceCache`] by `tests/cache_prop.rs`. Both
+//! [`crate::reference::ReferenceCache`] by `tests/cache_prop.rs`. The
 //! buffers are allocated once at construction — no allocation ever happens
-//! during replay.
+//! during replay. A bitmap records the sets the victim fill has written, so
+//! [`Cache::reset`] rewrites only those sets: a reused cache costs time
+//! and page touches proportional to what its last replay used, not to its
+//! capacity.
 //!
 //! Both hot scans — the tag lookup and the LRU victim min-scan — are
 //! plain scalar walks over one set's contiguous `u64`s (at most 16 ways
@@ -156,6 +159,9 @@ pub struct Cache {
     /// `(fill_ready_cycle << 1) | prefetched` per line, indexed like
     /// `tags`; read on hits, rewritten on fills.
     fill_info: Box<[u64]>,
+    /// One bit per set, set by the victim fill, the only write that moves a
+    /// line out of its empty state. [`Cache::reset`] clears these sets.
+    written: Box<[u64]>,
     /// `sets - 1` when the set count is a power of two (bitmask fast
     /// path); unused otherwise.
     set_mask: u64,
@@ -201,6 +207,7 @@ impl Cache {
             tags: vec![TAG_INVALID; lines].into_boxed_slice(),
             lru: vec![0; lines].into_boxed_slice(),
             fill_info: vec![0; lines].into_boxed_slice(),
+            written: vec![0; config.sets.div_ceil(64)].into_boxed_slice(),
             set_mask: (config.sets as u64).wrapping_sub(1),
             pow2_sets: config.sets.is_power_of_two(),
             stats: CacheStats::default(),
@@ -370,7 +377,9 @@ impl Cache {
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
-        let base = self.set_base(block);
+        let set = self.set_index(block);
+        self.written[set / 64] |= 1 << (set % 64);
+        let base = set * self.config.ways;
         // Victim: first invalid line if any, else the LRU line. Invalid
         // lines hold stamp 0 and valid lines hold >= 1 (struct invariant),
         // so both cases are one dense min-scan of the stamp array — no tag
@@ -414,11 +423,22 @@ impl Cache {
         self.tags.iter().filter(|&&t| t != TAG_INVALID).count()
     }
 
-    /// Clears contents and statistics.
+    /// Clears contents and statistics, restoring the state
+    /// [`Cache::labeled`] builds. Only the sets a fill wrote since the last
+    /// reset are rewritten; every other line is still empty.
     pub fn reset(&mut self) {
-        self.tags.fill(TAG_INVALID);
-        self.lru.fill(0);
-        self.fill_info.fill(0);
+        let ways = self.config.ways;
+        for word in 0..self.written.len() {
+            let mut bits = std::mem::take(&mut self.written[word]);
+            while bits != 0 {
+                let set = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let lines = set * ways..(set + 1) * ways;
+                self.tags[lines.clone()].fill(TAG_INVALID);
+                self.lru[lines.clone()].fill(0);
+                self.fill_info[lines].fill(0);
+            }
+        }
         self.stats = CacheStats::default();
         self.tick = 0;
         self.flushed_hits = 0;
@@ -562,6 +582,30 @@ mod tests {
         c.reset();
         assert_eq!(c.occupancy(), 0);
         assert_eq!(*c.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn reset_restores_the_fresh_state_exactly() {
+        // 100 sets (not a power of two, two bitmap words) x 3 ways; the
+        // fills wrap every set and evict, so each line's tag, stamp and
+        // fill info is dirty in some set and untouched in others.
+        let cfg = CacheConfig::new(100, 3, 1);
+        let fresh = Cache::new(cfg);
+        let mut c = Cache::new(cfg);
+        for round in 0..2 {
+            for blk in (0..450u64).step_by(3 - round) {
+                c.fill(Block(blk * 7), blk % 2 == 0, blk);
+                c.demand_access(Block(blk));
+            }
+            c.invalidate(Block(14));
+            c.reset();
+            assert_eq!(c.tags, fresh.tags);
+            assert_eq!(c.lru, fresh.lru);
+            assert_eq!(c.fill_info, fresh.fill_info);
+            assert_eq!(c.written, fresh.written);
+            assert_eq!((c.stats, c.tick), (fresh.stats, fresh.tick));
+            assert_eq!((c.flushed_hits, c.flushed_misses), (0, 0));
+        }
     }
 
     #[test]

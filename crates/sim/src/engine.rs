@@ -83,6 +83,60 @@ impl Simulator {
         &self.config
     }
 
+    /// Restores exactly the state [`Simulator::new`] builds, in time
+    /// proportional to what the last replay wrote: each cache clears only
+    /// the sets it filled, and the small DRAM and core models are rebuilt.
+    pub fn reset(&mut self) {
+        // Destructured so a new field cannot be left out of the reset.
+        let Simulator {
+            config,
+            l1d,
+            l2,
+            llc,
+            dram,
+            rob,
+            outstanding,
+            report,
+            occupancy_counts,
+            mshr_stalls,
+            prefetches_filtered,
+            flushed_counts,
+        } = self;
+        l1d.reset();
+        l2.reset();
+        llc.reset();
+        *dram = DramModel::new(config.dram);
+        *rob = RobModel::new(config.core);
+        outstanding.clear();
+        *report = SimReport::default();
+        occupancy_counts.fill(0);
+        *mshr_stalls = 0;
+        *prefetches_filtered = 0;
+        *flushed_counts = [0; 5];
+    }
+
+    /// [`Simulator::run`] on a reused simulator: resets it, replays `trace`
+    /// with the given prefetch schedule and returns the report. Reusing one
+    /// simulator across replays keeps its cache arrays warm in memory
+    /// instead of allocating and page-faulting them afresh each time; the
+    /// reports are bit-identical to a fresh simulator's.
+    pub fn replay(&mut self, trace: &Trace, prefetches: &[PrefetchRequest]) -> SimReport {
+        self.reset();
+        self.run_inner(trace, prefetches, 0);
+        self.report.clone()
+    }
+
+    /// Per-component statistics of the replay so far (see
+    /// [`Simulator::run_detailed`]).
+    pub fn detailed_stats(&self) -> DetailedStats {
+        DetailedStats {
+            l1d: *self.l1d.stats(),
+            l2: *self.l2.stats(),
+            llc: *self.llc.stats(),
+            dram: *self.dram.stats(),
+        }
+    }
+
     /// Replays `trace` with the given prefetch schedule and returns the
     /// report. Prefetches should be sorted by `trigger_instr_id` (schedules
     /// produced by walking the trace in order always are); a misordered
@@ -131,12 +185,7 @@ impl Simulator {
         warmup_loads: usize,
     ) -> (SimReport, DetailedStats) {
         self.run_inner(trace, prefetches, warmup_loads);
-        let detail = DetailedStats {
-            l1d: *self.l1d.stats(),
-            l2: *self.l2.stats(),
-            llc: *self.llc.stats(),
-            dram: *self.dram.stats(),
-        };
+        let detail = self.detailed_stats();
         (self.report, detail)
     }
 
@@ -609,6 +658,30 @@ mod tests {
         let report = Simulator::new(SimConfig::default()).run_with_warmup(&trace, &prefetches, 50);
         assert_eq!(report.prefetches_requested, 0);
         assert_eq!(report.prefetches_issued, 0);
+    }
+
+    #[test]
+    #[cfg_attr(
+        not(feature = "telemetry"),
+        ignore = "sim.* counters need the telemetry feature (on in workspace builds)"
+    )]
+    fn replay_publishes_the_telemetry_of_a_fresh_run() {
+        // Counters flush as deltas against what the simulator already
+        // published, so a reset must forget the previous replay's totals.
+        let cfg = SimConfig::default();
+        let trace = miss_trace(300);
+        let schedule: Vec<PrefetchRequest> = trace
+            .accesses()
+            .windows(2)
+            .map(|w| PrefetchRequest::new(w[0].instr_id, w[1].block()))
+            .collect();
+        let (_, fresh) = telemetry::capture(|| Simulator::new(cfg).run(&trace, &schedule));
+        let mut sim = Simulator::new(cfg);
+        sim.replay(&stream_trace(500, 64), &schedule);
+        let (_, reused) = telemetry::capture(|| sim.replay(&trace, &schedule));
+        assert!(fresh.counter("sim.prefetch.issued") > 0);
+        assert_eq!(reused.counters, fresh.counters);
+        assert_eq!(reused.histograms, fresh.histograms);
     }
 
     #[test]

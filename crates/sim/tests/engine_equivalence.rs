@@ -10,6 +10,11 @@
 //! random geometries (power-of-two and non-power-of-two set counts),
 //! random traces (with pointer-chasing dependences), warmup windows
 //! (including empty and whole-trace), and prefetch schedules.
+//!
+//! A reused simulator must be indistinguishable from a fresh one:
+//! [`Simulator::replay`] resets only the cache sets the previous replay
+//! wrote, and every replay in a sequence must still equal
+//! `Simulator::new(cfg).run` bit for bit.
 
 use proptest::prelude::*;
 
@@ -150,20 +155,79 @@ proptest! {
         let ref_w = ReferenceSimulator::new(cfg).run_with_warmup(&trace, &schedule, half);
         prop_assert_eq!(&flat_w, &ref_w);
     }
+
+    /// One simulator replays a sequence of traces: a long first trace, then
+    /// short ones, each with or without a schedule. Tiny caches make the
+    /// long trace wrap every set and evict, so each later replay starts
+    /// from a cache the previous one dirtied. Every replay, report and
+    /// per-component stats, equals a fresh simulator's run.
+    #[test]
+    fn reused_simulator_matches_fresh_runs(
+        l1_sets in 1usize..4,
+        l2_sets in 1usize..6,
+        llc_sets in 1usize..10,
+        ways in 1usize..4,
+        mshrs in 0usize..6,
+        rob in 4u64..48,
+        queue in 1usize..6,
+        first in prop::collection::vec((0u64..160, 0u64..6, any::<bool>()), 150..400),
+        rest in prop::collection::vec(
+            (prop::collection::vec((0u64..160, 0u64..6, any::<bool>()), 1..60), 0usize..4),
+            1..5,
+        ),
+        salt in 0u64..1_000,
+    ) {
+        let cfg = sim_config(l1_sets, l2_sets, llc_sets, ways, mshrs, rob, queue);
+        let mut sim = Simulator::new(cfg);
+        let runs = std::iter::once((first, 1)).chain(rest);
+        for (n, (accesses, pf_stride)) in runs.enumerate() {
+            let trace = build_trace(&accesses);
+            // Stride 0 is the empty schedule.
+            let schedule = build_schedule(&trace, pf_stride, salt);
+            let report = sim.replay(&trace, &schedule);
+            let (fresh, fresh_detail) = Simulator::new(cfg).run_detailed(&trace, &schedule);
+            prop_assert_eq!(&report, &fresh, "SimReport diverged on replay {}", n);
+            prop_assert_eq!(
+                &sim.detailed_stats(), &fresh_detail,
+                "DetailedStats diverged on replay {}", n
+            );
+        }
+    }
 }
 
-/// Table 3 default geometry on a denser, longer trace than the random
-/// cases reach: the exact configuration every experiment replays.
+/// The Table 3 geometry a serving daemon reuses per connection: a long
+/// mixed trace, then a short one, then the long one again, with and
+/// without schedules. Each replay equals a fresh simulator's run.
 #[test]
-fn default_config_equivalence_on_mixed_trace() {
+fn reused_default_simulator_matches_fresh_runs() {
     let cfg = SimConfig::default();
+    let long = mixed_trace(4_000);
+    let short = mixed_trace(256);
+    let mut sim = Simulator::new(cfg);
+    for (n, (trace, stride)) in [(&long, 2), (&short, 0), (&short, 3), (&long, 0), (&long, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        let schedule = build_schedule(trace, stride, 99);
+        let report = sim.replay(trace, &schedule);
+        let (fresh, fresh_detail) = Simulator::new(cfg).run_detailed(trace, &schedule);
+        assert_eq!(report, fresh, "SimReport diverged on replay {n}");
+        assert_eq!(
+            sim.detailed_stats(),
+            fresh_detail,
+            "DetailedStats diverged on replay {n}"
+        );
+    }
+}
+
+/// A pseudo-random mixture of streaming, reuse and scattered blocks.
+fn mixed_trace(loads: usize) -> Trace {
     let mut accesses = Vec::new();
     let mut x = 7u64;
-    for _ in 0..4_000 {
+    for _ in 0..loads {
         x = x
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        // Mixture of streaming, reuse, and scattered blocks.
         let block = match x % 4 {
             0 => (x >> 32) % 64,            // hot reuse set
             1 => 1_000 + (x >> 32) % 4_096, // LLC-sized set
@@ -171,7 +235,15 @@ fn default_config_equivalence_on_mixed_trace() {
         };
         accesses.push((block, x % 3, x.is_multiple_of(11)));
     }
-    let trace = build_trace(&accesses);
+    build_trace(&accesses)
+}
+
+/// Table 3 default geometry on a denser, longer trace than the random
+/// cases reach: the exact configuration every experiment replays.
+#[test]
+fn default_config_equivalence_on_mixed_trace() {
+    let cfg = SimConfig::default();
+    let trace = mixed_trace(4_000);
     let schedule = build_schedule(&trace, 2, 99);
     for warmup in [0usize, 1_000, 4_000] {
         let (a, da) = Simulator::new(cfg).run_detailed_with_warmup(&trace, &schedule, warmup);

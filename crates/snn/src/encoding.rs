@@ -27,11 +27,6 @@ impl PoissonEncoder {
         PoissonEncoder { max_rate }
     }
 
-    /// The configured full-intensity rate.
-    pub fn max_rate(&self) -> f32 {
-        self.max_rate
-    }
-
     /// Samples one tick of spikes: appends the indices of spiking inputs to
     /// `spikes_out` (cleared first). `rates` holds intensities in `[0, 1]`.
     pub fn sample_tick(&self, rates: &[f32], rng: &mut StdRng, spikes_out: &mut Vec<usize>) {

@@ -3,6 +3,8 @@
 use pathfinder_snn::SnnConfig;
 use serde::{Deserialize, Serialize};
 
+use crate::tables::{MAX_HISTORY, MAX_NEURONS};
+
 /// How prefetch predictions are read out of the SNN.
 ///
 /// `Hash` because the readout mode is part of the prediction-cache key:
@@ -168,15 +170,22 @@ impl PathfinderConfig {
         if self.history == 0 {
             return Err("history must be positive".into());
         }
-        if self.history > 8 {
+        if self.history > MAX_HISTORY {
             return Err(format!(
-                "history {} must be at most 8 (one byte per row in the \
-                 packed pixel-matrix cache key)",
+                "history {} must be at most {MAX_HISTORY} (one byte per row in \
+                 the packed pixel-matrix cache key)",
                 self.history
             ));
         }
         if self.neurons == 0 {
             return Err("neurons must be positive".into());
+        }
+        if self.neurons > MAX_NEURONS {
+            return Err(format!(
+                "neurons {} must be at most {MAX_NEURONS} (the Training \
+                 Table's packed prediction records)",
+                self.neurons
+            ));
         }
         if !(1..=2).contains(&self.labels_per_neuron) {
             return Err("labels_per_neuron must be 1 or 2".into());

@@ -54,4 +54,5 @@ pub use prefetcher::{PathfinderPrefetcher, PathfinderStats};
 pub use snn_cache::{CachedQuery, SnnCacheStats, SnnQueryCache};
 pub use tables::{
     InferenceTable, Label, TrainingEntry, TrainingTable, CONFIDENCE_INIT, CONFIDENCE_MAX,
+    MAX_HISTORY,
 };

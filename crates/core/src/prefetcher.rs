@@ -9,7 +9,7 @@ use pathfinder_telemetry as telemetry;
 use crate::config::{PathfinderConfig, Readout};
 use crate::encoder::PixelMatrixEncoder;
 use crate::snn_cache::{CachedQuery, SnnQueryCache};
-use crate::tables::{InferenceTable, TrainingTable};
+use crate::tables::{InferenceTable, Prediction, TrainingTable, MAX_HISTORY};
 
 /// Operational counters exposed for the paper's analyses (Table 6 issued
 /// prefetches, labeling behaviour, SNN activity).
@@ -89,6 +89,9 @@ pub struct PathfinderPrefetcher {
     /// Memo of frozen-inference query results (see [`SnnQueryCache`]).
     cache: SnnQueryCache,
     stats: PathfinderStats,
+    /// Scratch for the predictions of the access being processed, copied
+    /// into its Training Table row at exact size.
+    tracked: Vec<Prediction>,
 }
 
 impl PathfinderPrefetcher {
@@ -106,6 +109,7 @@ impl PathfinderPrefetcher {
             inference: InferenceTable::new(config.neurons, config.labels_per_neuron),
             cache: SnnQueryCache::new(config.snn_cache_entries),
             stats: PathfinderStats::default(),
+            tracked: Vec::new(),
             config,
         })
     }
@@ -294,19 +298,21 @@ impl Prefetcher for PathfinderPrefetcher {
         // -- Feedback & labeling state from the previous access to this
         //    (PC, page) stream. Same-block repeats are invisible at the LLC
         //    (upper levels filter them), so they neither update confidence
-        //    nor re-query the SNN.
-        let (prev_fired, prev_predictions) = match self.training.peek(pc, page.0) {
-            Some(e) if e.touches > 0 && e.last_offset == offset => {
+        //    nor re-query the SNN. Every later path replaces the row's
+        //    predictions, so they are taken, not copied.
+        let (prev_fired, prev_predictions) = match self.training.peek_mut(pc, page.0) {
+            Some(e) if e.touches() > 0 && e.last_offset() == offset => {
                 return Vec::new();
             }
-            Some(e) => (e.fired, e.predictions.clone()),
-            None => (None, Vec::new()),
+            Some(e) => (e.fired(), e.take_predictions()),
+            None => (None, Box::default()),
         };
 
         // (1) Confidence estimation (§3.4): compare the predictions issued
         //     on the previous access with the block actually touched now.
-        for (neuron, slot, predicted) in prev_predictions {
-            if predicted == offset {
+        for &p in prev_predictions.iter() {
+            let (neuron, slot) = (p.neuron(), p.slot());
+            if p.offset() == offset {
                 self.inference.reward(neuron, slot);
                 self.stats.predictions_correct += 1;
                 telemetry::counter!("pf.confidence.rewards", 1);
@@ -331,11 +337,11 @@ impl Prefetcher for PathfinderPrefetcher {
 
         // (3) Encode the current history and query the SNN.
         let entry = self.training.peek(pc, page.0).expect("entry just touched");
-        let Some((rates, key)) = self.encode_query(&entry.deltas, entry.touches, offset) else {
+        let mut history = [0; MAX_HISTORY];
+        let deltas = entry.deltas(&mut history);
+        let Some((rates, key)) = self.encode_query(deltas, entry.touches(), offset) else {
             // Basic design: wait for H deltas before querying.
-            let e = self.training.touch(pc, page.0);
-            e.fired = None;
-            e.predictions = Vec::new();
+            self.training.touch(pc, page.0).set_query(None, &[]);
             return Vec::new();
         };
         let fired = self.query(&rates, key, learn);
@@ -348,7 +354,7 @@ impl Prefetcher for PathfinderPrefetcher {
         // is tracked for confidence feedback; only labels above the
         // confidence threshold also *issue* a prefetch.
         let mut prefetches = Vec::with_capacity(self.config.degree);
-        let mut tracked_predictions = Vec::new();
+        self.tracked.clear();
         for &neuron in &fired {
             for (slot, label) in self.inference.labels(neuron) {
                 let target = offset as i16 + label.delta;
@@ -356,7 +362,7 @@ impl Prefetcher for PathfinderPrefetcher {
                     continue;
                 }
                 let target = target as u8;
-                tracked_predictions.push((neuron, slot, target));
+                self.tracked.push(Prediction::new(neuron, slot, target));
                 if label.confidence > self.config.confidence_threshold
                     && prefetches.len() < self.config.degree
                 {
@@ -373,9 +379,9 @@ impl Prefetcher for PathfinderPrefetcher {
 
         // (5) Remember this query's winner and predictions for the next
         //     access to this stream.
-        let entry = self.training.touch(pc, page.0);
-        entry.fired = fired.first().copied();
-        entry.predictions = tracked_predictions;
+        self.training
+            .touch(pc, page.0)
+            .set_query(fired.first().copied(), &self.tracked);
 
         self.stats.prefetches_issued += prefetches.len() as u64;
         telemetry::counter!("pf.prefetches.issued", prefetches.len() as u64);

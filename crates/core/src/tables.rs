@@ -17,22 +17,121 @@ pub const CONFIDENCE_MAX: u8 = 7;
 /// confidence value (1 in our study)").
 pub const CONFIDENCE_INIT: u8 = 1;
 
-/// One Training Table row.
-#[derive(Debug, Clone, Default)]
+/// Longest delta history a Training Table row holds (the configuration's
+/// `history` bound).
+pub const MAX_HISTORY: usize = 8;
+
+/// Largest neuron count whose indices fit a packed [`Prediction`].
+pub(crate) const MAX_NEURONS: usize = 1 << 25;
+
+/// One tracked prediction in 4 bytes: the neuron that made it, its label
+/// slot (0 or 1) and the predicted page offset (0..64), packed as
+/// `neuron << 7 | slot << 6 | offset`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Prediction(u32);
+
+impl Prediction {
+    pub(crate) fn new(neuron: usize, slot: usize, offset: u8) -> Self {
+        debug_assert!(neuron < MAX_NEURONS && slot < 2 && offset < 64);
+        Prediction((neuron as u32) << 7 | (slot as u32) << 6 | offset as u32)
+    }
+
+    pub(crate) fn neuron(self) -> usize {
+        (self.0 >> 7) as usize
+    }
+
+    pub(crate) fn slot(self) -> usize {
+        (self.0 >> 6 & 1) as usize
+    }
+
+    pub(crate) fn offset(self) -> u8 {
+        (self.0 & 63) as u8
+    }
+}
+
+/// Marks a row with no fired neuron awaiting a label.
+const NO_NEURON: u32 = u32::MAX;
+
+/// One Training Table row, with no heap storage beyond its exact-size list
+/// of tracked predictions: deltas are same-page, so within ±63, and at most
+/// [`MAX_HISTORY`] of them are kept inline.
+#[derive(Debug, Clone)]
 pub struct TrainingEntry {
-    /// Recent same-page deltas, oldest first, capped at `H`.
-    pub deltas: Vec<i16>,
+    stamp: u64,
+    touches: u64,
+    predictions: Box<[Prediction]>,
+    deltas: [i8; MAX_HISTORY],
+    fired: u32,
+    len: u8,
+    last_offset: u8,
+}
+
+impl Default for TrainingEntry {
+    fn default() -> Self {
+        TrainingEntry {
+            stamp: 0,
+            touches: 0,
+            predictions: Box::default(),
+            deltas: [0; MAX_HISTORY],
+            fired: NO_NEURON,
+            len: 0,
+            last_offset: 0,
+        }
+    }
+}
+
+impl TrainingEntry {
+    /// Copies the recent same-page deltas, oldest first and capped at `H`,
+    /// into `buf` as the encoder's `i16`s and returns them.
+    pub fn deltas<'b>(&self, buf: &'b mut [i16; MAX_HISTORY]) -> &'b [i16] {
+        let n = self.len as usize;
+        for (out, &d) in buf.iter_mut().zip(&self.deltas[..n]) {
+            *out = d.into();
+        }
+        &buf[..n]
+    }
+
     /// Page offset of the most recent access ("last accessing page offset
     /// 22" in Figure 1).
-    pub last_offset: u8,
+    pub fn last_offset(&self) -> u8 {
+        self.last_offset
+    }
+
     /// Number of touches to this (PC, page) so far.
-    pub touches: u64,
+    pub fn touches(&self) -> u64 {
+        self.touches
+    }
+
     /// Neuron that fired for the most recent SNN query, awaiting a label.
-    pub fired: Option<usize>,
-    /// Predictions issued on the last access: `(neuron, slot, predicted
-    /// offset)`, for confidence feedback.
-    pub predictions: Vec<(usize, usize, u8)>,
-    stamp: u64,
+    pub fn fired(&self) -> Option<usize> {
+        (self.fired != NO_NEURON).then_some(self.fired as usize)
+    }
+
+    /// Records the outcome of this access's SNN query: the neuron that
+    /// fired (awaiting the next delta as its label) and the predictions to
+    /// check against the next access.
+    pub(crate) fn set_query(&mut self, fired: Option<usize>, predictions: &[Prediction]) {
+        self.fired = fired.map_or(NO_NEURON, |n| {
+            debug_assert!(n < MAX_NEURONS);
+            n as u32
+        });
+        self.predictions = predictions.into();
+    }
+
+    /// Takes the predictions issued on the last access, leaving none.
+    pub(crate) fn take_predictions(&mut self) -> Box<[Prediction]> {
+        std::mem::take(&mut self.predictions)
+    }
+
+    fn push_delta(&mut self, delta: i16, history: usize) {
+        let delta = i8::try_from(delta).expect("same-page deltas lie within ±63");
+        if self.len as usize == history {
+            self.deltas.copy_within(1..history, 0);
+            self.len -= 1;
+        }
+        self.deltas[self.len as usize] = delta;
+        self.len += 1;
+    }
 }
 
 /// The (PC, page)-indexed Training Table with bounded capacity.
@@ -56,9 +155,13 @@ impl TrainingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0` or `history == 0`.
+    /// Panics if `capacity == 0` or `history` is not in `1..=MAX_HISTORY`.
     pub fn new(capacity: usize, history: usize) -> Self {
         assert!(capacity > 0 && history > 0, "capacity and history required");
+        assert!(
+            history <= MAX_HISTORY,
+            "history {history} exceeds {MAX_HISTORY}"
+        );
         TrainingTable {
             entries: HashMap::new(),
             capacity,
@@ -80,6 +183,11 @@ impl TrainingTable {
     /// Looks up a row without touching recency.
     pub fn peek(&self, pc: u64, page: u64) -> Option<&TrainingEntry> {
         self.entries.get(&(pc, page))
+    }
+
+    /// Looks up a row for update without touching recency.
+    pub(crate) fn peek_mut(&mut self, pc: u64, page: u64) -> Option<&mut TrainingEntry> {
+        self.entries.get_mut(&(pc, page))
     }
 
     /// Fetches (or creates) the row for `(pc, page)`, refreshing recency and
@@ -122,10 +230,7 @@ impl TrainingTable {
             return None;
         }
         entry.last_offset = offset;
-        entry.deltas.push(delta);
-        if entry.deltas.len() > history {
-            entry.deltas.remove(0);
-        }
+        entry.push_delta(delta, history);
         Some(delta)
     }
 
@@ -253,8 +358,8 @@ mod tests {
         assert_eq!(t.record_offset(1, 100, 22), Some(3));
         // Figure 1's example: history now holds {1, 2, 3}, last offset 22.
         let e = t.peek(1, 100).unwrap();
-        assert_eq!(e.deltas, vec![1, 2, 3]);
-        assert_eq!(e.last_offset, 22);
+        assert_eq!(e.deltas(&mut [0; MAX_HISTORY]), [1, 2, 3]);
+        assert_eq!(e.last_offset(), 22);
     }
 
     #[test]
@@ -265,7 +370,7 @@ mod tests {
             let _ = i;
         }
         let e = t.peek(1, 100).unwrap();
-        assert_eq!(e.deltas, vec![3, 4, 5]);
+        assert_eq!(e.deltas(&mut [0; MAX_HISTORY]), [3, 4, 5]);
     }
 
     #[test]

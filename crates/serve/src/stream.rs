@@ -1,11 +1,11 @@
-//! Per-stream serving state: one PATHFINDER prefetcher, its accumulated
-//! trace, and the prefetch schedule it has produced so far.
+//! Per-stream serving state: one PATHFINDER prefetcher and a replay log of
+//! the accesses it has seen and the prefetch schedule it has produced.
 //!
 //! The parity discipline lives here. A [`StreamSession`] feeds each access
 //! through exactly the per-access loop of
 //! [`pathfinder_prefetch::generate_prefetches`] — same dedup, same
 //! `max_degree` truncation, same `PrefetchRequest` construction — and its
-//! drain replays the accumulated `(trace, schedule)` pair through the same
+//! drain replays the logged accesses and schedule through the same
 //! [`Simulator`] the batch path uses. `Prefetcher::prepare` is a no-op for
 //! PATHFINDER (it learns online), so serving accesses one at a time is the
 //! same computation as handing the whole trace over at once: schedules and
@@ -13,7 +13,7 @@
 
 use pathfinder_core::{PathfinderConfig, PathfinderPrefetcher, PathfinderStats};
 use pathfinder_sim::{
-    Block, MemoryAccess, PrefetchRequest, SimConfig, SimReport, Simulator, Trace,
+    Block, MemoryAccess, PrefetchRequest, ReplayAccess, SimConfig, SimReport, Simulator,
 };
 
 use crate::protocol::{AccessRecord, ConfigDelta, DrainedStream};
@@ -68,13 +68,106 @@ impl StreamTemplate {
     }
 }
 
-/// One live stream: its prefetcher, accumulated trace, and schedule.
+/// Bytes per chunk of a [`ChunkedLog`].
+const CHUNK_BYTES: usize = 4096;
+
+/// An append-only sequence kept in fixed-size chunks: growth allocates one
+/// more chunk and never copies or frees what is stored, so a long stream
+/// leaves no freed halves of doubled buffers behind.
+#[derive(Debug)]
+struct ChunkedLog<T> {
+    chunks: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T: Copy> ChunkedLog<T> {
+    const CHUNK_LEN: usize = CHUNK_BYTES / std::mem::size_of::<T>();
+
+    fn new() -> Self {
+        ChunkedLog {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < Self::CHUNK_LEN => chunk.push(item),
+            _ => {
+                let mut chunk = Vec::with_capacity(Self::CHUNK_LEN);
+                chunk.push(item);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> LogIter<'_, T> {
+        LogIter {
+            items: self.chunks.iter().flatten(),
+            remaining: self.len,
+        }
+    }
+}
+
+/// In-order iterator over a [`ChunkedLog`] that knows its length.
+#[derive(Debug, Clone)]
+struct LogIter<'a, T> {
+    items: std::iter::Flatten<std::slice::Iter<'a, Vec<T>>>,
+    remaining: usize,
+}
+
+impl<T: Copy> Iterator for LogIter<'_, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        let item = *self.items.next()?;
+        self.remaining -= 1;
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl<T: Copy> ExactSizeIterator for LogIter<'_, T> {}
+
+/// One logged access in 16 bytes: the fields the drain's replay reads.
+/// A block is a byte address over 64, so it fits in 58 bits and leaves
+/// the low bit for `depends_on_prev`.
+#[derive(Debug, Clone, Copy)]
+struct LoggedAccess {
+    instr_id: u64,
+    block_dep: u64,
+}
+
+impl LoggedAccess {
+    fn new(access: &MemoryAccess) -> Self {
+        LoggedAccess {
+            instr_id: access.instr_id,
+            block_dep: access.block().0 << 1 | access.depends_on_prev as u64,
+        }
+    }
+
+    #[inline]
+    fn replay(self) -> ReplayAccess {
+        ReplayAccess {
+            instr_id: self.instr_id,
+            block: Block(self.block_dep >> 1),
+            depends_on_prev: self.block_dep & 1 == 1,
+        }
+    }
+}
+
+/// One live stream: its prefetcher and its replay log.
 #[derive(Debug)]
 pub struct StreamSession {
     stream: u64,
     prefetcher: PathfinderPrefetcher,
-    trace: Trace,
-    schedule: Vec<PrefetchRequest>,
+    accesses: ChunkedLog<LoggedAccess>,
+    schedule: ChunkedLog<PrefetchRequest>,
     last_prediction: Vec<Block>,
     max_degree: usize,
     sim: SimConfig,
@@ -94,8 +187,8 @@ impl StreamSession {
         Ok(StreamSession {
             stream,
             prefetcher,
-            trace: Trace::new(),
-            schedule: Vec::new(),
+            accesses: ChunkedLog::new(),
+            schedule: ChunkedLog::new(),
             last_prediction: Vec::new(),
             max_degree,
             sim: template.sim,
@@ -109,12 +202,12 @@ impl StreamSession {
 
     /// Demand loads ingested so far.
     pub fn accesses(&self) -> u64 {
-        self.trace.len() as u64
+        self.accesses.len as u64
     }
 
     /// Schedule entries accumulated so far.
     pub fn schedule_len(&self) -> u64 {
-        self.schedule.len() as u64
+        self.schedule.len as u64
     }
 
     /// Blocks predicted on the most recent access (read-only `predict`).
@@ -143,8 +236,8 @@ impl StreamSession {
     }
 
     /// The per-access tail of `generate_prefetches`: dedup, `max_degree`
-    /// truncation, schedule/trace/last-prediction bookkeeping.
-    fn issue(&mut self, access: MemoryAccess, blocks: Vec<Block>) -> Vec<Block> {
+    /// truncation, schedule/log/last-prediction bookkeeping.
+    fn issue(&mut self, access: &MemoryAccess, blocks: Vec<Block>) -> Vec<Block> {
         let mut seen: Vec<Block> = Vec::with_capacity(self.max_degree);
         for b in blocks {
             if seen.len() >= self.max_degree {
@@ -155,8 +248,8 @@ impl StreamSession {
                 self.schedule.push(PrefetchRequest::new(access.instr_id, b));
             }
         }
-        self.trace.push(access);
-        self.last_prediction = seen.clone();
+        self.accesses.push(LoggedAccess::new(access));
+        self.last_prediction.clone_from(&seen);
         seen
     }
 
@@ -168,7 +261,7 @@ impl StreamSession {
     ///
     /// Each access gets exactly the per-access body of
     /// `generate_prefetches` — dedup, `max_degree` truncation, schedule and
-    /// trace bookkeeping — after [`PathfinderPrefetcher::on_access_run`],
+    /// log bookkeeping — after [`PathfinderPrefetcher::on_access_run`],
     /// which is `on_access` once per record.
     pub fn access_run(&mut self, recs: &[AccessRecord]) -> (Vec<Vec<Block>>, u64) {
         let misses_before = self.prefetcher.stats().snn_cache_misses;
@@ -177,15 +270,15 @@ impl StreamSession {
         let out = accesses
             .iter()
             .zip(per_access)
-            .map(|(&access, blocks)| self.issue(access, blocks))
+            .map(|(access, blocks)| self.issue(access, blocks))
             .collect();
         let grouped = self.prefetcher.stats().snn_cache_misses - misses_before;
         (out, grouped)
     }
 
-    /// Finishes the stream: runs the timed replay of the accumulated trace
-    /// against the accumulated schedule (the same computation the batch
-    /// path performs) and packages the result for the `drain` reply.
+    /// Finishes the stream: runs the timed replay of the logged accesses
+    /// against the logged schedule (the same computation the batch path
+    /// performs) and packages the result for the `drain` reply.
     pub fn drain(self) -> DrainedStream {
         let mut sim = Simulator::new(self.sim);
         self.drain_on(&mut sim)
@@ -199,10 +292,13 @@ impl StreamSession {
         if *sim.config() != self.sim {
             *sim = Simulator::new(self.sim);
         }
-        let report = if self.trace.is_empty() {
+        let report = if self.accesses.len == 0 {
             SimReport::default()
         } else {
-            sim.replay(&self.trace, &self.schedule)
+            sim.replay_iter(
+                self.accesses.iter().map(LoggedAccess::replay),
+                self.schedule.iter(),
+            )
         };
         DrainedStream {
             stream: self.stream,
@@ -221,6 +317,7 @@ impl StreamSession {
 mod tests {
     use super::*;
     use pathfinder_prefetch::generate_prefetches;
+    use pathfinder_sim::Trace;
 
     fn synthetic(loads: u64) -> Vec<AccessRecord> {
         // A strided stream with a periodic irregular hop: enough structure

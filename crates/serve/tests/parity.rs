@@ -259,3 +259,59 @@ fn one_requester_reuses_its_drain_simulator_bit_for_bit() {
         assert_eq!(drained, [session.drain()], "stream {stream}");
     }
 }
+
+#[test]
+fn repeated_and_backward_instruction_ids_match_batch_runs() {
+    // The wire accepts any instruction ids. Rewrite a real trace's ids to
+    // step by +4, 0, +3, -5, +5, 0, -1, +6 in turn. An access that repeats
+    // its predecessor's id has its prefetches issued by the replay cursor
+    // at the predecessor already. An id that drops below an earlier
+    // access's leaves the schedule unsorted, so the replay sorts a copy
+    // first, and the sorted copy issues that access's prefetches at the
+    // earlier access. The trace ends on a backward step, so its last id is
+    // not its largest. The session and the engine must equal the batch run.
+    const STEPS: [i64; 8] = [4, 0, 3, -5, 5, 0, -1, 6];
+    let template = StreamTemplate::default();
+    let mut id = 100u64;
+    let trace: Trace = Workload::Sphinx
+        .generate(1_199, 3)
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            id = id.saturating_add_signed(STEPS[i % STEPS.len()]);
+            MemoryAccess { instr_id: id, ..*a }
+        })
+        .collect();
+    let records: Vec<AccessRecord> = trace.iter().map(record).collect();
+
+    let engine = ServeEngine::with_template(template.clone(), 2);
+    let mut session = StreamSession::new(5, &template).expect("valid template");
+    let mut early = 0;
+    for (i, r) in records.iter().enumerate() {
+        let resp = engine.request(Request::Access {
+            stream: 5,
+            access: *r,
+        });
+        let (blocks, _) = session.access_run(std::slice::from_ref(r));
+        assert_eq!(
+            resp,
+            Response::Prefetches(blocks[0].iter().map(|b| b.0).collect())
+        );
+        if i > 0 && records[i - 1].instr_id == r.instr_id && !blocks[0].is_empty() {
+            early += 1;
+        }
+    }
+    let Response::Drained(drained) = engine.request(Request::Drain { stream: Some(5) }) else {
+        panic!("per-stream drain failed")
+    };
+    let (schedule, report, stats) = batch_run(&template, 5, &trace);
+    assert!(early > 0, "no prefetch rode on a repeated id");
+    assert!(
+        !schedule.is_sorted_by_key(|&(trigger, _)| trigger),
+        "the schedule must take the replay's unsorted fallback"
+    );
+    assert_eq!(drained, [session.drain()]);
+    assert_eq!(drained[0].schedule, schedule);
+    assert_eq!(drained[0].report, report);
+    assert_eq!(drained[0].pf, stats);
+}

@@ -49,6 +49,29 @@ impl MemoryAccess {
     }
 }
 
+/// A demand load as the timed replay reads it: every field of
+/// [`MemoryAccess`] but the PC, which only prefetchers use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReplayAccess {
+    /// Dynamic instruction index (retire order) of this load.
+    pub instr_id: u64,
+    /// The cache block loaded.
+    pub block: Block,
+    /// True when this load's address depends on the previous load's data.
+    pub depends_on_prev: bool,
+}
+
+impl From<&MemoryAccess> for ReplayAccess {
+    #[inline]
+    fn from(access: &MemoryAccess) -> Self {
+        ReplayAccess {
+            instr_id: access.instr_id,
+            block: access.block(),
+            depends_on_prev: access.depends_on_prev,
+        }
+    }
+}
+
 /// A prefetch request produced by a prefetcher for a specific trigger access.
 ///
 /// The two-phase competition flow attaches each prefetch to the `instr_id` of

@@ -384,13 +384,16 @@ impl Cache {
         // lines hold stamp 0 and valid lines hold >= 1 (struct invariant),
         // so both cases are one dense min-scan of the stamp array — no tag
         // reads, no branches on validity. The strict `<` keeps the *first*
-        // minimum, matching the reference cache's `min_by_key`.
-        let mut victim = base;
-        for w in base + 1..base + self.config.ways {
-            if self.lru[w] < self.lru[victim] {
-                victim = w;
-            }
+        // minimum, matching the reference cache's `min_by_key`. The stamps
+        // are effectively random, so the scan selects instead of branching.
+        let stamps = &self.lru[base..base + self.config.ways];
+        let (mut victim, mut oldest) = (0, stamps[0]);
+        for (w, &stamp) in stamps.iter().enumerate().skip(1) {
+            let older = stamp < oldest;
+            victim = if older { w } else { victim };
+            oldest = if older { stamp } else { oldest };
         }
+        let victim = base + victim;
         let evicted = if self.tags[victim] != TAG_INVALID {
             if self.fill_info[victim] & 1 == 1 {
                 self.stats.useless_evictions += 1;

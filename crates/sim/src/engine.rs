@@ -8,7 +8,7 @@
 
 use pathfinder_telemetry as telemetry;
 
-use crate::access::{MemoryAccess, PrefetchRequest, Trace};
+use crate::access::{PrefetchRequest, ReplayAccess, Trace};
 use crate::addr::Block;
 use crate::cache::{Cache, CacheLevel, LookupResult};
 use crate::config::SimConfig;
@@ -121,8 +121,24 @@ impl Simulator {
     /// instead of allocating and page-faulting them afresh each time; the
     /// reports are bit-identical to a fresh simulator's.
     pub fn replay(&mut self, trace: &Trace, prefetches: &[PrefetchRequest]) -> SimReport {
+        self.replay_iter(
+            trace.iter().map(ReplayAccess::from),
+            prefetches.iter().copied(),
+        )
+    }
+
+    /// [`Simulator::replay`] reading the accesses and the schedule from
+    /// iterators, so a caller can replay from its own storage without
+    /// building a [`Trace`]. The schedule is walked twice when sorted (the
+    /// order check, then the replay) and collected and sorted first when
+    /// not, exactly as [`Simulator::run`] treats a slice.
+    pub fn replay_iter<A, S>(&mut self, accesses: A, schedule: S) -> SimReport
+    where
+        A: ExactSizeIterator<Item = ReplayAccess>,
+        S: Iterator<Item = PrefetchRequest> + Clone,
+    {
         self.reset();
-        self.run_inner(trace, prefetches, 0);
+        self.run_inner(accesses, schedule, 0);
         self.report.clone()
     }
 
@@ -146,7 +162,7 @@ impl Simulator {
     /// A warm-up fraction of the trace can be replayed first via
     /// [`Simulator::run_with_warmup`].
     pub fn run(mut self, trace: &Trace, prefetches: &[PrefetchRequest]) -> SimReport {
-        self.run_inner(trace, prefetches, 0);
+        self.run_trace(trace, prefetches, 0);
         self.report
     }
 
@@ -161,7 +177,7 @@ impl Simulator {
         prefetches: &[PrefetchRequest],
         warmup_loads: usize,
     ) -> SimReport {
-        self.run_inner(trace, prefetches, warmup_loads);
+        self.run_trace(trace, prefetches, warmup_loads);
         self.report
     }
 
@@ -184,48 +200,65 @@ impl Simulator {
         prefetches: &[PrefetchRequest],
         warmup_loads: usize,
     ) -> (SimReport, DetailedStats) {
-        self.run_inner(trace, prefetches, warmup_loads);
+        self.run_trace(trace, prefetches, warmup_loads);
         let detail = self.detailed_stats();
         (self.report, detail)
     }
 
-    fn run_inner(&mut self, trace: &Trace, prefetches: &[PrefetchRequest], warmup_loads: usize) {
+    fn run_trace(&mut self, trace: &Trace, prefetches: &[PrefetchRequest], warmup_loads: usize) {
+        self.run_inner(
+            trace.iter().map(ReplayAccess::from),
+            prefetches.iter().copied(),
+            warmup_loads,
+        );
+    }
+
+    /// Validates the schedule's order, then replays.
+    fn run_inner<A, S>(&mut self, accesses: A, schedule: S, warmup_loads: usize)
+    where
+        A: ExactSizeIterator<Item = ReplayAccess>,
+        S: Iterator<Item = PrefetchRequest> + Clone,
+    {
         // The replay cursor silently skips prefetches whose trigger has
         // already passed, so a misordered schedule must never reach it.
         // Validate in every build profile (the check is O(n), the replay is
         // not) and recover by sorting a copy rather than dropping requests.
-        let sorted_copy: Vec<PrefetchRequest>;
-        let prefetches = if prefetches
-            .windows(2)
-            .all(|w| w[0].trigger_instr_id <= w[1].trigger_instr_id)
-        {
-            prefetches
+        if schedule.clone().is_sorted_by_key(|p| p.trigger_instr_id) {
+            self.replay_sorted(accesses, schedule, warmup_loads);
         } else {
             telemetry::counter!("sim.schedule.unsorted", 1);
+            let mut sorted: Vec<PrefetchRequest> = schedule.collect();
             eprintln!(
                 "warning: prefetch schedule of {} requests is not sorted by \
                  trigger_instr_id; sorting before replay (schedules built by \
                  walking the trace in order are always sorted)",
-                prefetches.len()
+                sorted.len()
             );
-            sorted_copy = {
-                let mut v = prefetches.to_vec();
-                v.sort_by_key(|p| p.trigger_instr_id);
-                v
-            };
-            &sorted_copy
-        };
+            sorted.sort_by_key(|p| p.trigger_instr_id);
+            self.replay_sorted(accesses, sorted.into_iter(), warmup_loads);
+        }
+    }
+
+    /// The replay loop proper; `schedule` is sorted by trigger.
+    fn replay_sorted(
+        &mut self,
+        accesses: impl ExactSizeIterator<Item = ReplayAccess>,
+        schedule: impl Iterator<Item = PrefetchRequest>,
+        warmup_loads: usize,
+    ) {
         // A warmup window longer than the trace means "everything is
         // warm-up": clamp so the measured window is empty instead of
         // silently reporting full-run cycles for zero measured loads.
-        let warmup_loads = warmup_loads.min(trace.len());
+        let loads = accesses.len();
+        let warmup_loads = warmup_loads.min(loads);
         let _replay_span = telemetry::timer!("sim.replay");
-        let mut pf_cursor = 0usize;
+        let mut schedule = schedule.peekable();
         let mut measured_start_cycle = 0u64;
         let mut measured_start_instr = 0u64;
         let mut prev_completion = 0u64;
+        let mut last_instr = None;
 
-        for (i, access) in trace.iter().enumerate() {
+        for (i, access) in accesses.enumerate() {
             let measuring = i >= warmup_loads;
             let mut issue = self.issue_with_hazards(access.instr_id);
             // Address dependence: a pointer-chasing load cannot compute its
@@ -237,17 +270,14 @@ impl Simulator {
                 measured_start_cycle = issue;
                 measured_start_instr = access.instr_id;
             }
-            let latency = self.demand_latency(access, issue, measuring);
+            let latency = self.demand_latency(access.block, issue, measuring);
             prev_completion = issue + latency;
             self.rob.complete_load(access.instr_id, issue, latency);
+            last_instr = Some(access.instr_id);
 
             // Issue all prefetches triggered by this access, at its issue
             // time: the prefetcher logically observes the access and reacts.
-            while pf_cursor < prefetches.len()
-                && prefetches[pf_cursor].trigger_instr_id <= access.instr_id
-            {
-                let pf = prefetches[pf_cursor];
-                pf_cursor += 1;
+            while let Some(pf) = schedule.next_if(|p| p.trigger_instr_id <= access.instr_id) {
                 if measuring {
                     self.report.prefetches_requested += 1;
                 }
@@ -255,9 +285,10 @@ impl Simulator {
             }
         }
 
-        let total_instr = trace.total_instructions();
+        // The same count as `Trace::total_instructions`: last id + 1.
+        let total_instr = last_instr.map_or(0, |id| id + 1);
         let end_cycle = self.rob.finish(total_instr);
-        if warmup_loads == trace.len() {
+        if warmup_loads == loads {
             // The entire trace was warm-up: no load set the measured-window
             // start, so report an empty window, not the full run.
             measured_start_instr = total_instr;
@@ -332,8 +363,7 @@ impl Simulator {
     }
 
     /// Walks the hierarchy for a demand load, returns its total latency.
-    fn demand_latency(&mut self, access: &MemoryAccess, issue: u64, measuring: bool) -> u64 {
-        let block = access.block();
+    fn demand_latency(&mut self, block: Block, issue: u64, measuring: bool) -> u64 {
         if measuring {
             self.report.loads += 1;
         }
@@ -432,6 +462,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::MemoryAccess;
 
     fn stream_trace(n: u64, stride: u64) -> Trace {
         (0..n)
@@ -624,12 +655,11 @@ mod tests {
         // `demand_latency` re-paid the old late-prefetch wait.
         let cfg = SimConfig::default();
         let block = Block(42);
-        let access = MemoryAccess::new(0, 0x400, block.0 * 64);
 
         // A genuine in-flight prefetch hit still charges the wait ...
         let mut sim = Simulator::new(cfg);
         sim.llc.fill(block, true, 2_000);
-        let latency = sim.demand_latency(&access, 100, true);
+        let latency = sim.demand_latency(block, 100, true);
         assert_eq!(latency, 1_900, "in-flight prefetch: wait until arrival");
 
         // ... but once a demand fill supersedes the in-flight prefetch
@@ -637,7 +667,7 @@ mod tests {
         let mut sim = Simulator::new(cfg);
         sim.llc.fill(block, true, 2_000);
         sim.llc.fill(block, false, 0);
-        let latency = sim.demand_latency(&access, 100, true);
+        let latency = sim.demand_latency(block, 100, true);
         assert_eq!(latency, cfg.llc_hit_latency());
         // The superseded prefetch no longer counts as a first demand touch.
         assert_eq!(sim.report.prefetches_useful, 0);

@@ -47,7 +47,7 @@ pub mod mshr;
 pub mod reference;
 pub mod stats;
 
-pub use access::{MemoryAccess, PrefetchRequest, Trace};
+pub use access::{MemoryAccess, PrefetchRequest, ReplayAccess, Trace};
 pub use addr::{Addr, Block, Page, BLOCKS_PER_PAGE, BLOCK_SIZE, PAGE_SIZE};
 pub use cache::{Cache, CacheLevel, CacheStats, LookupResult};
 pub use config::{CacheConfig, CoreConfig, DramConfig, SimConfig};

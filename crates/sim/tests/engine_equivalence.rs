@@ -15,12 +15,18 @@
 //! [`Simulator::replay`] resets only the cache sets the previous replay
 //! wrote, and every replay in a sequence must still equal
 //! `Simulator::new(cfg).run` bit for bit.
+//!
+//! [`Simulator::replay_iter`], the replay over iterators that serving
+//! sessions use, equals both engines' slice replays on traces whose
+//! instruction ids repeat and go backwards (the wire accepts any ids) and
+//! on unsorted schedules.
 
 use proptest::prelude::*;
 
 use pathfinder_sim::reference::ReferenceSimulator;
 use pathfinder_sim::{
-    CacheConfig, CoreConfig, DramConfig, MemoryAccess, PrefetchRequest, SimConfig, Simulator, Trace,
+    CacheConfig, CoreConfig, DramConfig, MemoryAccess, PrefetchRequest, ReplayAccess, SimConfig,
+    Simulator, Trace,
 };
 
 /// Small mixed-radix geometry: half the draws land on non-power-of-two set
@@ -192,6 +198,57 @@ proptest! {
                 "DetailedStats diverged on replay {}", n
             );
         }
+    }
+}
+
+proptest! {
+    /// Instruction ids step by -3..=3 (repeats and reversals included) and
+    /// the schedule's triggers are drawn from the trace's ids in any order.
+    /// The iterator replay, fed from chunked storage as a serving session
+    /// keeps it, equals `Simulator::run` and the reference engine; an
+    /// unsorted schedule takes the same sort-a-copy fallback in all three.
+    #[test]
+    fn iterator_replay_matches_on_unordered_ids_and_schedules(
+        llc_sets in 1usize..24,
+        ways in 1usize..4,
+        mshrs in 0usize..6,
+        start in 0u64..8,
+        accesses in prop::collection::vec((0u64..120, -3i64..=3, any::<bool>()), 1..160),
+        prefetches in prop::collection::vec((0usize..1_000, 0u64..9), 0..80),
+        sort_schedule in any::<bool>(),
+    ) {
+        let cfg = sim_config(2, 4, llc_sets, ways, mshrs, 16, 3);
+        let mut id = start;
+        let trace: Trace = accesses
+            .iter()
+            .map(|&(block, step, dep)| {
+                id = id.saturating_add_signed(step);
+                let a = MemoryAccess::new(id, 0x400, block * 64);
+                if dep { a.dependent() } else { a }
+            })
+            .collect();
+        let mut schedule: Vec<PrefetchRequest> = prefetches
+            .iter()
+            .map(|(at, hop)| {
+                let a = trace.accesses()[at % trace.len()];
+                PrefetchRequest::new(a.instr_id, pathfinder_sim::Block(a.block().0 + hop))
+            })
+            .collect();
+        if sort_schedule {
+            schedule.sort_by_key(|p| p.trigger_instr_id);
+        }
+
+        let replay_accesses: Vec<ReplayAccess> = trace.iter().map(ReplayAccess::from).collect();
+        let mut sim = Simulator::new(cfg);
+        let iterated = sim.replay_iter(
+            replay_accesses.into_iter(),
+            schedule.chunks(5).flatten().copied(),
+        );
+        let run = Simulator::new(cfg).run(&trace, &schedule);
+        let reference = ReferenceSimulator::new(cfg).run(&trace, &schedule);
+        prop_assert_eq!(&iterated, &run);
+        prop_assert_eq!(&iterated, &reference);
+        prop_assert_eq!(iterated.loads, trace.len() as u64);
     }
 }
 
